@@ -173,16 +173,6 @@ impl<'a> HeteSimEngine<'a> {
         self.cache.budget_bytes()
     }
 
-    /// `(hits, misses)` of the half-path cache.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `cache_stats`, which also reports entries and bytes"
-    )]
-    pub fn cache_stats_tuple(&self) -> (u64, u64) {
-        let s = self.cache.stats();
-        (s.hits, s.misses)
-    }
-
     /// Drops all memoized half-path products.
     pub fn clear_cache(&self) {
         self.cache.clear()
@@ -427,41 +417,32 @@ impl<'a> HeteSimEngine<'a> {
     }
 
     /// Normalized relevance of one source against *all* targets, as a dense
-    /// row (zeros where the walkers cannot meet).
+    /// row (zeros where the walkers cannot meet). Only the targets sharing a
+    /// middle object with the source are scored: the pruned walk of
+    /// [`top_k`](Self::top_k) accumulates straight into the zeroed row.
     pub fn single_source(&self, path: &MetaPath, a: u32) -> Result<Vec<f64>> {
         let _span = hetesim_obs::span("core.engine.single_source");
         self.check_source(path, a)?;
         let h = self.halves(path)?;
-        let u = h.left.row(a as usize);
-        let nt = h.right.nrows();
-        if u.is_empty() {
-            return Ok(vec![0.0; nt]);
+        let mut row = vec![0.0; h.right.nrows()];
+        let un = h.left_norms[a as usize];
+        for t in crate::topk::reach(&h, a, &mut row) {
+            let t = t as usize;
+            let denom = un * h.right_norms[t];
+            row[t] = if denom == 0.0 { 0.0 } else { row[t] / denom };
         }
-        let un = u.l2_norm();
-        let dots = h.right.matvec(&u.to_dense())?;
-        Ok(dots
-            .iter()
-            .enumerate()
-            .map(|(t, &d)| {
-                let denom = un * h.right_norms[t];
-                if denom == 0.0 {
-                    0.0
-                } else {
-                    d / denom
-                }
-            })
-            .collect())
+        Ok(row)
     }
 
     /// Top-`k` targets for one source, using pruned search (Section 4.6,
     /// optimization 3): only targets sharing at least one middle object
-    /// with the source are ever scored.
+    /// with the source are ever scored. Runs on the calling thread.
     pub fn top_k(&self, path: &MetaPath, a: u32, k: usize) -> Result<Vec<crate::Ranked>> {
         let _span = hetesim_obs::span!("core.engine.top_k", k = k);
         self.check_source(path, a)?;
         let h = self.halves(path)?;
         let _stage = hetesim_obs::span("core.engine.topk");
-        crate::topk::top_k_parallel(&h, a, k, self.threads)
+        Ok(crate::topk::top_k(&h, a, k))
     }
 
     /// The `k` most relevant `(source, target)` pairs across the whole
@@ -470,7 +451,7 @@ impl<'a> HeteSimEngine<'a> {
     pub fn top_k_pairs(&self, path: &MetaPath, k: usize) -> Result<Vec<crate::topk::RankedPair>> {
         let _span = hetesim_obs::span!("core.engine.top_k_pairs", k = k);
         let h = self.halves(path)?;
-        crate::topk::top_k_pairs_parallel(&h, k, self.threads)
+        Ok(crate::topk::top_k_pairs_parallel(&h, k, self.threads))
     }
 
     /// Decomposes one pair's score over the middle objects the two walkers

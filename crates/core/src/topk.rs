@@ -4,17 +4,13 @@
 //! all objects in the target type" — so instead of scoring every target, we
 //! walk only the middle objects the source actually reaches and accumulate
 //! meeting mass into the targets that share them. Targets never touched are
-//! provably zero and are skipped entirely.
+//! provably zero and are skipped entirely. One walk, [`reach`], serves
+//! single-source rows, top-k and the top-k join.
 
 use crate::cache::Halves;
-use crate::{Ranked, Result};
+use crate::Ranked;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Right-half nnz below which [`top_k_parallel`] stays on the serial pruned
-/// path: the parallel variant scans every target's right row, so it only
-/// wins once that scan is big enough to amortize thread startup.
-const PARALLEL_MIN_RIGHT_NNZ: usize = 1 << 16;
 
 /// Left-half nnz below which [`top_k_pairs_parallel`] stays serial. The
 /// all-pairs join does a full pruned accumulation per source, so far less
@@ -82,11 +78,13 @@ impl PartialOrd for HeapItem {
 }
 
 impl TopK {
-    /// A collector keeping the best `k` items.
+    /// A collector keeping the best `k` items. Nothing is reserved up
+    /// front: the heap grows with the items kept, so its size is bounded by
+    /// the candidates offered, not by `k`.
     pub fn new(k: usize) -> TopK {
         TopK {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -126,121 +124,55 @@ impl TopK {
     }
 }
 
-/// Top-k normalized HeteSim for one source row over materialized halves.
+/// Adds the meeting mass of `source` into `acc`: for every middle `m` the
+/// source reaches, in ascending order, `acc[t] += u[m] * right_t[m][t]`.
+/// Returns the targets touched, in first-touch order; a stored zero still
+/// touches its targets.
 ///
-/// Complexity is `O(Σ_{m ∈ supp(u)} nnz(right_t[m]) + |candidates| log k)`
-/// — independent of the number of targets with zero meeting probability.
-pub fn top_k_pruned(h: &Halves, source: u32, k: usize) -> Result<Vec<Ranked>> {
-    let u = h.left.row(source as usize);
-    if u.is_empty() || k == 0 {
-        return Ok(Vec::new());
-    }
-    let un = u.l2_norm();
-    // Sparse accumulation of dot products into only the reachable targets.
-    let mut acc: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-    for (m, w) in u.iter() {
+/// `acc` has one slot per target and must be zero on entry at every target
+/// the walk can touch. Each sum adds its terms in ascending middle order and
+/// omits only the terms of middles the source does not reach, which are
+/// exact `+0.0`s for the non-negative halves the engine builds, so it is
+/// bitwise equal to the dense product `right · u`. Cost is
+/// `O(Σ_{m ∈ supp(u)} nnz(right_t[m]))` plus one flag per target.
+pub fn reach(h: &Halves, source: u32, acc: &mut [f64]) -> Vec<u32> {
+    let s = source as usize;
+    let mut seen = vec![false; acc.len()];
+    let mut touched = Vec::new();
+    for (&m, &w) in h.left.row_indices(s).iter().zip(h.left.row_values(s)) {
+        let m = m as usize;
         for (&t, &v) in h.right_t.row_indices(m).iter().zip(h.right_t.row_values(m)) {
-            *acc.entry(t).or_insert(0.0) += w * v;
+            if !seen[t as usize] {
+                seen[t as usize] = true;
+                touched.push(t);
+            }
+            acc[t as usize] += w * v;
         }
     }
+    touched
+}
+
+/// Top-k normalized HeteSim for one source row over materialized halves:
+/// [`reach`], then a bounded heap over the touched targets.
+///
+/// Complexity is `O(Σ_{m ∈ supp(u)} nnz(right_t[m]) + |touched| log k)`
+/// plus zeroing one accumulator slot per target. The heap never holds more
+/// than the touched targets, whatever `k` is asked for.
+pub fn top_k(h: &Halves, source: u32, k: usize) -> Vec<Ranked> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut acc = vec![0.0; h.right.nrows()];
+    let touched = reach(h, source, &mut acc);
+    let un = h.left_norms[source as usize];
     let mut top = TopK::new(k);
-    for (t, dot) in acc {
+    for t in touched {
         let denom = un * h.right_norms[t as usize];
         if denom > 0.0 {
-            top.push(t, dot / denom);
+            top.push(t, acc[t as usize] / denom);
         }
     }
-    Ok(top.into_sorted())
-}
-
-/// Top-k normalized HeteSim for one source row with the candidate scan
-/// partitioned across `threads` workers.
-///
-/// Targets are split into contiguous ranges of near-equal right-half nnz;
-/// each worker scores its targets into a private [`TopK`] and the heaps are
-/// merged at the end. Per-target dot products accumulate contributions in
-/// ascending middle-object order — the same order as the serial pruned
-/// accumulation — so the output is bit-identical to [`top_k_pruned`] at
-/// every thread count. Falls back to the serial path when `threads <= 1`
-/// or the right half is too small to amortize workers.
-pub fn top_k_parallel(h: &Halves, source: u32, k: usize, threads: usize) -> Result<Vec<Ranked>> {
-    if threads <= 1 || h.right.nnz() < PARALLEL_MIN_RIGHT_NNZ {
-        return top_k_pruned(h, source, k);
-    }
-    top_k_parallel_force(h, source, k, threads)
-}
-
-/// The parallel body of [`top_k_parallel`], with no size gate (tests call
-/// it directly on small fixtures).
-fn top_k_parallel_force(h: &Halves, source: u32, k: usize, threads: usize) -> Result<Vec<Ranked>> {
-    let u = h.left.row(source as usize);
-    if u.is_empty() || k == 0 {
-        return Ok(Vec::new());
-    }
-    let _span = hetesim_obs::span!(
-        "core.topk.parallel",
-        targets = h.right.nrows(),
-        threads = threads,
-    );
-    let un = u.l2_norm();
-    // Densify the source distribution for O(1) middle lookups. A stored
-    // zero in `u` still marks its targets reachable (as the serial pruned
-    // accumulation does), so membership is tracked separately.
-    let dim = h.right.ncols();
-    let mut du = vec![0.0f64; dim];
-    let mut in_u = vec![false; dim];
-    for (m, w) in u.iter() {
-        du[m] = w;
-        in_u[m] = true;
-    }
-    let nt = h.right.nrows();
-    let ranges = balanced_ranges(nt, threads, |t| h.right.row_nnz(t));
-    let (du, in_u) = (&du[..], &in_u[..]);
-    let tops: Vec<TopK> = std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                s.spawn(move || {
-                    let mut top = TopK::new(k);
-                    for t in lo..hi {
-                        let idx = h.right.row_indices(t);
-                        let vals = h.right.row_values(t);
-                        let mut dot = 0.0f64;
-                        let mut touched = false;
-                        for (&m, &v) in idx.iter().zip(vals) {
-                            if in_u[m as usize] {
-                                // Same operand order as the serial pruned
-                                // accumulation: u[m] * right[t][m], summed
-                                // over ascending m.
-                                dot += du[m as usize] * v;
-                                touched = true;
-                            }
-                        }
-                        if touched {
-                            let denom = un * h.right_norms[t];
-                            if denom > 0.0 {
-                                top.push(t as u32, dot / denom);
-                            }
-                        }
-                    }
-                    top
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("top-k worker panicked"))
-            .collect()
-    });
-    // The kept top-k set is unique under the (score desc, index asc) total
-    // order, so merging per-worker heaps reproduces the serial result.
-    let mut top = TopK::new(k);
-    for t in tops {
-        for r in t.into_sorted() {
-            top.push(r.index, r.score);
-        }
-    }
-    Ok(top.into_sorted())
+    top.into_sorted()
 }
 
 /// One scored source–target pair from an all-pairs search.
@@ -258,15 +190,22 @@ pub struct RankedPair {
 /// halves — the path-based analogue of the top-k similarity join the
 /// related-work section cites. Pairs with zero meeting probability are
 /// never materialized; ties break by `(source, target)` ascending.
-pub fn top_k_pairs(h: &Halves, k: usize) -> Result<Vec<RankedPair>> {
-    let mut best: Vec<RankedPair> = Vec::with_capacity(k + 1);
+pub fn top_k_pairs(h: &Halves, k: usize) -> Vec<RankedPair> {
+    best_pairs(h, k, 0..h.left.nrows())
+}
+
+/// The `k` best pairs whose source lies in `sources`, with one
+/// accumulator reused across the sources.
+fn best_pairs(h: &Halves, k: usize, sources: std::ops::Range<usize>) -> Vec<RankedPair> {
+    let mut best = Vec::new();
     if k == 0 {
-        return Ok(best);
+        return best;
     }
-    for source in 0..h.left.nrows() {
-        score_source_pairs(h, source, k, &mut best);
+    let mut acc = vec![0.0; h.right.nrows()];
+    for source in sources {
+        score_source_pairs(h, source, k, &mut acc, &mut best);
     }
-    Ok(best)
+    best
 }
 
 /// Inserts `candidate` into the sorted bounded list `best` (descending
@@ -283,21 +222,18 @@ fn insert_pair(best: &mut Vec<RankedPair>, k: usize, candidate: RankedPair) {
     }
 }
 
-/// Scores every reachable target of one source (pruned accumulation) and
-/// offers the pairs to `best`.
-fn score_source_pairs(h: &Halves, source: usize, k: usize, best: &mut Vec<RankedPair>) {
-    let u = h.left.row(source);
-    if u.is_empty() {
-        return;
-    }
-    let un = u.l2_norm();
-    let mut acc: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-    for (m, w) in u.iter() {
-        for (&t, &v) in h.right_t.row_indices(m).iter().zip(h.right_t.row_values(m)) {
-            *acc.entry(t).or_insert(0.0) += w * v;
-        }
-    }
-    for (t, dot) in acc {
+/// Scores every target one source reaches ([`reach`]) and offers the pairs
+/// to `best`. `acc` is the walk's accumulator; it is zero again on return.
+fn score_source_pairs(
+    h: &Halves,
+    source: usize,
+    k: usize,
+    acc: &mut [f64],
+    best: &mut Vec<RankedPair>,
+) {
+    let un = h.left_norms[source];
+    for t in reach(h, source as u32, acc) {
+        let dot = std::mem::take(&mut acc[t as usize]);
         let denom = un * h.right_norms[t as usize];
         if denom <= 0.0 {
             continue;
@@ -329,7 +265,7 @@ fn score_source_pairs(h: &Halves, source: usize, k: usize, best: &mut Vec<Ranked
 /// unique under the (score desc, pair asc) total order, so the result is
 /// identical to [`top_k_pairs`] at every thread count. Falls back to the
 /// serial path when `threads <= 1` or the left half is small.
-pub fn top_k_pairs_parallel(h: &Halves, k: usize, threads: usize) -> Result<Vec<RankedPair>> {
+pub fn top_k_pairs_parallel(h: &Halves, k: usize, threads: usize) -> Vec<RankedPair> {
     if threads <= 1 || h.left.nnz() < PARALLEL_MIN_LEFT_NNZ {
         return top_k_pairs(h, k);
     }
@@ -337,42 +273,33 @@ pub fn top_k_pairs_parallel(h: &Halves, k: usize, threads: usize) -> Result<Vec<
 }
 
 /// The parallel body of [`top_k_pairs_parallel`], with no size gate.
-fn top_k_pairs_parallel_force(h: &Halves, k: usize, threads: usize) -> Result<Vec<RankedPair>> {
+fn top_k_pairs_parallel_force(h: &Halves, k: usize, threads: usize) -> Vec<RankedPair> {
     if k == 0 {
-        return Ok(Vec::new());
+        return Vec::new();
     }
     let _span = hetesim_obs::span!(
         "core.topk.pairs_parallel",
         sources = h.left.nrows(),
         threads = threads,
     );
-    let ns = h.left.nrows();
-    let ranges = balanced_ranges(ns, threads, |s| h.left.row_nnz(s));
+    let ranges = balanced_ranges(h.left.nrows(), threads, |s| h.left.row_nnz(s));
     let lists: Vec<Vec<RankedPair>> = std::thread::scope(|s| {
         let handles: Vec<_> = ranges
             .iter()
-            .map(|&(lo, hi)| {
-                s.spawn(move || {
-                    let mut best: Vec<RankedPair> = Vec::with_capacity(k + 1);
-                    for source in lo..hi {
-                        score_source_pairs(h, source, k, &mut best);
-                    }
-                    best
-                })
-            })
+            .map(|&(lo, hi)| s.spawn(move || best_pairs(h, k, lo..hi)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("top-k worker panicked"))
             .collect()
     });
-    let mut best: Vec<RankedPair> = Vec::with_capacity(k + 1);
+    let mut best = Vec::new();
     for list in lists {
         for candidate in list {
             insert_pair(&mut best, k, candidate);
         }
     }
-    Ok(best)
+    best
 }
 
 #[cfg(test)]
@@ -428,6 +355,13 @@ mod tests {
         assert_eq!(out[0].index, 1);
     }
 
+    #[test]
+    fn huge_k_reserves_nothing_up_front() {
+        let mut t = TopK::new(1 << 40);
+        t.push(0, 0.3);
+        assert_eq!(t.into_sorted().len(), 1);
+    }
+
     use hetesim_sparse::{CooMatrix, CsrMatrix};
 
     fn halves_from(left: CsrMatrix, right: CsrMatrix) -> Halves {
@@ -478,38 +412,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_top_k_matches_pruned_bitwise() {
-        let h = skewed_halves();
-        for source in 0..h.left.nrows() as u32 {
-            for k in [1usize, 3, 10, 1000] {
-                let serial = top_k_pruned(&h, source, k).unwrap();
-                for threads in [2usize, 4, 7, 64] {
-                    let par = top_k_parallel_force(&h, source, k, threads).unwrap();
-                    assert_eq!(par, serial, "source={source} k={k} threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_top_k_gates_to_serial_below_threshold() {
-        let h = skewed_halves();
-        assert!(h.right.nnz() < super::PARALLEL_MIN_RIGHT_NNZ);
-        let gated = top_k_parallel(&h, 0, 5, 8).unwrap();
-        assert_eq!(gated, top_k_pruned(&h, 0, 5).unwrap());
-    }
-
-    #[test]
     fn parallel_pairs_match_serial_bitwise() {
         let h = skewed_halves();
         for k in [1usize, 4, 17, 10_000] {
-            let serial = top_k_pairs(&h, k).unwrap();
+            let serial = top_k_pairs(&h, k);
             for threads in [2usize, 4, 7, 64] {
-                let par = top_k_pairs_parallel_force(&h, k, threads).unwrap();
+                let par = top_k_pairs_parallel_force(&h, k, threads);
                 assert_eq!(par, serial, "k={k} threads={threads}");
             }
         }
-        assert!(top_k_pairs_parallel_force(&h, 0, 4).unwrap().is_empty());
+        assert!(top_k_pairs_parallel_force(&h, 0, 4).is_empty());
     }
 
     #[test]

@@ -190,6 +190,36 @@ fn concurrent_queries_match_offline_top_k() {
 }
 
 #[test]
+fn huge_k_answers_the_reachable_targets_and_the_server_survives() {
+    let (hin, star) = network();
+    let reference = HeteSimEngine::new(&hin);
+    let apvc = MetaPath::parse(hin.schema(), "APVC").unwrap();
+    let source = hin.node_id(apvc.source_type(), &star).unwrap();
+    let targets = hin.node_count(apvc.target_type());
+    let want = reference.top_k(&apvc, source, targets).unwrap();
+
+    with_app(&hin, HeteSimEngine::new(&hin), |addr, _| {
+        // k = 2^40 once reserved 2^40 heap slots and aborted the process.
+        let body = format!("{{\"path\":\"APVC\",\"source\":\"{star}\",\"k\":1099511627776}}");
+        let r = client::post_json(addr, "/query", &body).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        let v = Json::parse(&r.body).unwrap();
+        let results = v.get("results").unwrap().as_array().unwrap();
+        assert!(results.len() <= targets);
+        let ids: Vec<u64> = results
+            .iter()
+            .map(|r| r.get("id").unwrap().as_u64().unwrap())
+            .collect();
+        let want_ids: Vec<u64> = want.iter().map(|r| r.index as u64).collect();
+        assert_eq!(ids, want_ids);
+
+        let body = format!("{{\"path\":\"APVC\",\"source\":\"{star}\",\"k\":3}}");
+        let r = client::post_json(addr, "/query", &body).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+    });
+}
+
+#[test]
 fn pair_matches_offline_engine_and_ids_work() {
     let (hin, star) = network();
     let reference = HeteSimEngine::new(&hin);
