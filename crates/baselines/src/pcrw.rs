@@ -1,4 +1,4 @@
-use hetesim_core::{reachable, PathMeasure, Ranked, Result};
+use hetesim_core::{reachable, CoreError, PathMeasure, Ranked, Result};
 use hetesim_graph::{Hin, MetaPath};
 use hetesim_sparse::CsrMatrix;
 
@@ -30,6 +30,8 @@ impl<'a> Pcrw<'a> {
     }
 
     /// Reachable-probability row for a single source (sparse propagation).
+    /// Returns [`CoreError::NodeOutOfRange`] for a source outside the
+    /// path's source type.
     pub fn walk_distribution(&self, path: &MetaPath, source: u32) -> Result<Vec<f64>> {
         let v = reachable::propagate_from(self.hin, path.steps(), source)?;
         Ok(v.to_dense())
@@ -46,6 +48,14 @@ impl PathMeasure for Pcrw<'_> {
     }
 
     fn score(&self, path: &MetaPath, a: u32, b: u32) -> Result<f64> {
+        let count = self.hin.node_count(path.target_type());
+        if b as usize >= count {
+            return Err(CoreError::NodeOutOfRange {
+                endpoint: "target",
+                index: b,
+                count,
+            });
+        }
         let v = reachable::propagate_from(self.hin, path.steps(), a)?;
         Ok(v.get(b as usize))
     }
@@ -147,6 +157,33 @@ mod tests {
         for w in ranked.windows(2) {
             assert!(w[0].score >= w[1].score);
         }
+    }
+
+    #[test]
+    fn out_of_range_endpoints_are_errors() {
+        let hin = fig4();
+        let pcrw = Pcrw::new(&hin);
+        let apc = MetaPath::parse(hin.schema(), "APC").unwrap();
+        let source = |r: Result<_>| match r {
+            Err(CoreError::NodeOutOfRange {
+                endpoint: "source",
+                index: 2,
+                count: 2,
+            }) => {}
+            other => panic!("expected a source range error, got {other:?}"),
+        };
+        source(pcrw.walk_distribution(&apc, 2).map(|_| ()));
+        source(pcrw.score(&apc, 2, 0).map(|_| ()));
+        source(pcrw.rank_targets(&apc, 2).map(|_| ()));
+        match pcrw.score(&apc, 0, 2) {
+            Err(CoreError::NodeOutOfRange {
+                endpoint: "target",
+                index: 2,
+                count: 2,
+            }) => {}
+            other => panic!("expected a target range error, got {other:?}"),
+        }
+        assert!(pcrw.score(&apc, 1, 1).is_ok());
     }
 
     #[test]

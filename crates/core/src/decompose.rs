@@ -7,11 +7,13 @@
 //! object* type `E` — one instance per relation instance — splitting that
 //! relation `R` into `R = RO ∘ RI` (Definition 6). Property 1 shows the
 //! split is exact and unique; [`edge_split`] materializes it and the tests
-//! verify `W_AE · W_EB = W`.
+//! verify `W_AE · W_EB = W`. The engine reads the split through borrowed
+//! [`Factor`]s instead, row by row or materialized one side at a time.
 
 use crate::Result;
 use hetesim_graph::{Hin, MetaPath};
 use hetesim_sparse::CsrMatrix;
+use std::borrow::Cow;
 
 /// The two halves of a decomposed relevance path, ready to be turned into
 /// reachable-probability matrices.
@@ -19,19 +21,142 @@ use hetesim_sparse::CsrMatrix;
 /// `left` holds the traversal-oriented adjacency matrices of `PL` (source
 /// type → middle), `right_rev` those of `PR⁻¹` (target type → middle). For
 /// odd-length paths the last matrix of each half is the corresponding side
-/// of the edge-object split.
+/// of the edge-object split. Step adjacencies are borrowed from the
+/// network; only the two split factors are owned.
 #[derive(Debug, Clone)]
-pub struct Decomposition {
+pub struct Decomposition<'a> {
     /// Adjacency matrices from the source type to the middle type.
-    pub left: Vec<CsrMatrix>,
+    pub left: Vec<Cow<'a, CsrMatrix>>,
     /// Adjacency matrices from the target type back to the middle type
     /// (i.e. along `PR⁻¹`).
-    pub right_rev: Vec<CsrMatrix>,
+    pub right_rev: Vec<Cow<'a, CsrMatrix>>,
     /// Dimension of the middle type (number of objects both walkers can
     /// meet at; for odd paths, the number of edge objects).
     pub middle_dim: usize,
     /// True when an edge-object split was inserted (odd-length path).
     pub used_edge_objects: bool,
+}
+
+/// One factor of a half-path chain, borrowed from the network: a step
+/// adjacency, or one side of the edge-object split of the middle relation
+/// `W` (Definition 6), whose rows are read from `W` and `Wᵀ` without
+/// materializing the edge objects. Edge object `e` is the `e`-th stored
+/// entry of `W` in row-major order, as in [`edge_split`].
+#[derive(Debug, Clone, Copy)]
+pub enum Factor<'a> {
+    /// A step adjacency in traversal orientation.
+    Step(&'a CsrMatrix),
+    /// `W_AE`: row `a` holds the edges `W.indptr[a]..W.indptr[a + 1]` with
+    /// values `√|w|`.
+    SplitLeft(&'a CsrMatrix),
+    /// `(W_EB)ᵀ`: row `b` holds, for each `a` in `Wᵀ[b]`, the edge of
+    /// `(a, b)` with the signed `√|w|`.
+    SplitRight {
+        /// The middle relation `W`.
+        w: &'a CsrMatrix,
+        /// Its transpose `Wᵀ`.
+        wt: &'a CsrMatrix,
+    },
+}
+
+impl<'a> Factor<'a> {
+    /// Number of rows (the type the factor departs from).
+    pub(crate) fn nrows(&self) -> usize {
+        match *self {
+            Factor::Step(m) | Factor::SplitLeft(m) => m.nrows(),
+            Factor::SplitRight { wt, .. } => wt.nrows(),
+        }
+    }
+
+    /// Number of columns (the type or edge objects it arrives at).
+    pub(crate) fn ncols(&self) -> usize {
+        match *self {
+            Factor::Step(m) => m.ncols(),
+            Factor::SplitLeft(w) | Factor::SplitRight { w, .. } => w.nnz(),
+        }
+    }
+
+    /// Row `r` as `(columns, values)` in ascending column order — the
+    /// order the materialized factor stores them. A step row is borrowed;
+    /// a split row is built in `buf`.
+    pub(crate) fn row<'s>(
+        &self,
+        r: usize,
+        buf: &'s mut (Vec<u32>, Vec<f64>),
+    ) -> (&'s [u32], &'s [f64])
+    where
+        'a: 's,
+    {
+        let (cols, vals) = buf;
+        cols.clear();
+        vals.clear();
+        match *self {
+            Factor::Step(m) => return (m.row_indices(r), m.row_values(r)),
+            Factor::SplitLeft(w) => {
+                let base = w.indptr()[r];
+                cols.extend(base..w.indptr()[r + 1]);
+                vals.extend(w.row_values(r).iter().map(|v| v.abs().sqrt()));
+            }
+            Factor::SplitRight { w, wt } => {
+                for &a in wt.row_indices(r) {
+                    let a = a as usize;
+                    // `(a, r)` is stored in `W`, as `(r, a)` is in `Wᵀ`.
+                    let pos = w.row_indices(a).partition_point(|&c| (c as usize) < r);
+                    debug_assert_eq!(w.row_indices(a).get(pos), Some(&(r as u32)));
+                    cols.push(w.indptr()[a] + pos as u32);
+                    vals.push(signed_sqrt(w.row_values(a)[pos]));
+                }
+            }
+        }
+        (cols, vals)
+    }
+
+    /// The factor as a matrix: a step adjacency is borrowed, a split side
+    /// is built in one pass over `W` (bitwise equal to the [`edge_split`]
+    /// side).
+    pub(crate) fn to_csr(self) -> Cow<'a, CsrMatrix> {
+        match self {
+            Factor::Step(m) => Cow::Borrowed(m),
+            Factor::SplitLeft(w) => Cow::Owned(CsrMatrix::from_raw(
+                w.nrows(),
+                w.nnz(),
+                w.indptr().to_vec(),
+                (0..w.nnz() as u32).collect(),
+                w.values().iter().map(|v| v.abs().sqrt()).collect(),
+            )),
+            Factor::SplitRight { w, wt } => {
+                // Edges in row-major order land in their `Wᵀ` rows in
+                // ascending edge order, as a transpose would put them.
+                let mut next = wt.indptr().to_vec();
+                let mut indices = vec![0u32; w.nnz()];
+                let mut values = vec![0.0; w.nnz()];
+                for (e, (&b, &v)) in w.indices().iter().zip(w.values()).enumerate() {
+                    let slot = next[b as usize] as usize;
+                    next[b as usize] += 1;
+                    indices[slot] = e as u32;
+                    values[slot] = signed_sqrt(v);
+                }
+                Cow::Owned(CsrMatrix::from_raw(
+                    wt.nrows(),
+                    w.nnz(),
+                    wt.indptr().to_vec(),
+                    indices,
+                    values,
+                ))
+            }
+        }
+    }
+}
+
+/// `√|v|` with the sign of `v`: an edge object's weight toward the target
+/// side of the split, so that `√|v| · signed_sqrt(v) = v`.
+fn signed_sqrt(v: f64) -> f64 {
+    let s = v.abs().sqrt();
+    if v < 0.0 {
+        -s
+    } else {
+        s
+    }
 }
 
 /// Splits an atomic relation's weighted adjacency `W` into `(W_AE, W_EB)`
@@ -56,11 +181,10 @@ pub fn edge_split(w: &CsrMatrix) -> (CsrMatrix, CsrMatrix) {
     let mut e = 0u32;
     for r in 0..w.nrows() {
         for (&c, &v) in w.row_indices(r).iter().zip(w.row_values(r)) {
-            let s = v.abs().sqrt();
             ae_indices.push(e);
-            ae_values.push(s);
+            ae_values.push(v.abs().sqrt());
             eb_indices.push(c);
-            eb_values.push(if v < 0.0 { -s } else { s });
+            eb_values.push(signed_sqrt(v));
             eb_indptr.push(eb_indices.len());
             e += 1;
         }
@@ -145,56 +269,47 @@ pub fn fused_atomic(w: &CsrMatrix) -> FusedAtomic {
     }
 }
 
+/// The factor chains of `PL` (source type → middle) and `PR⁻¹` (target
+/// type → middle) of a relevance path (Definition 5). An odd-length path
+/// meets inside its middle step, whose relation `W` is split through edge
+/// objects: `PL` ends in `W_AE` and `PR⁻¹` in `(W_EB)ᵀ`.
+pub(crate) fn half_factors<'a>(
+    hin: &'a Hin,
+    path: &MetaPath,
+) -> (Vec<Factor<'a>>, Vec<Factor<'a>>) {
+    let steps = path.steps();
+    let mid = steps.len() / 2;
+    let mut left: Vec<Factor<'a>> = steps[..mid]
+        .iter()
+        .map(|&s| Factor::Step(hin.step_adjacency(s)))
+        .collect();
+    let mut right_rev: Vec<Factor<'a>> = steps[steps.len() - mid..]
+        .iter()
+        .rev()
+        .map(|&s| Factor::Step(hin.step_adjacency(s.reversed())))
+        .collect();
+    if steps.len() % 2 == 1 {
+        let w = hin.step_adjacency(steps[mid]);
+        let wt = hin.step_adjacency(steps[mid].reversed());
+        left.push(Factor::SplitLeft(w));
+        right_rev.push(Factor::SplitRight { w, wt });
+    }
+    (left, right_rev)
+}
+
 /// Decomposes a relevance path `P` into `PL` / `PR⁻¹` matrix chains
 /// (Definition 5), inserting the edge-object split for odd lengths.
-pub fn decompose(hin: &Hin, path: &MetaPath) -> Result<Decomposition> {
-    let steps = path.steps();
-    let l = steps.len();
-    if l % 2 == 0 {
-        let mid = l / 2;
-        let left: Vec<CsrMatrix> = steps[..mid]
-            .iter()
-            .map(|&s| hin.step_adjacency(s).clone())
-            .collect();
-        let right_rev: Vec<CsrMatrix> = steps[mid..]
-            .iter()
-            .rev()
-            .map(|&s| hin.step_adjacency(s.reversed()).clone())
-            .collect();
-        let middle_dim = left
-            .last()
-            .map(|m| m.ncols())
-            .unwrap_or_else(|| hin.node_count(path.source_type()));
-        Ok(Decomposition {
-            left,
-            right_rev,
-            middle_dim,
-            used_edge_objects: false,
-        })
-    } else {
-        // Odd: split the middle step's adjacency through edge objects.
-        let mid_step = l / 2;
-        let w = hin.step_adjacency(steps[mid_step]);
-        let (ae, eb) = edge_split(w);
-        let middle_dim = ae.ncols();
-        let mut left: Vec<CsrMatrix> = steps[..mid_step]
-            .iter()
-            .map(|&s| hin.step_adjacency(s).clone())
-            .collect();
-        left.push(ae);
-        let mut right_rev: Vec<CsrMatrix> = steps[mid_step + 1..]
-            .iter()
-            .rev()
-            .map(|&s| hin.step_adjacency(s.reversed()).clone())
-            .collect();
-        right_rev.push(eb.transpose());
-        Ok(Decomposition {
-            left,
-            right_rev,
-            middle_dim,
-            used_edge_objects: true,
-        })
-    }
+pub fn decompose<'a>(hin: &'a Hin, path: &MetaPath) -> Result<Decomposition<'a>> {
+    let (left, right_rev) = half_factors(hin, path);
+    let middle_dim = left
+        .last()
+        .map_or_else(|| hin.node_count(path.source_type()), Factor::ncols);
+    Ok(Decomposition {
+        left: left.into_iter().map(Factor::to_csr).collect(),
+        right_rev: right_rev.into_iter().map(Factor::to_csr).collect(),
+        middle_dim,
+        used_edge_objects: path.steps().len() % 2 == 1,
+    })
 }
 
 #[cfg(test)]
@@ -233,6 +348,38 @@ mod tests {
         assert_eq!(ae.get(0, 0), 2.0);
         assert_eq!(eb.get(1, 1), 3.0);
         assert!(ae.matmul(&eb).unwrap().max_abs_diff(&w).unwrap() < 1e-12);
+    }
+
+    #[test]
+    fn split_factors_match_edge_split_bitwise() {
+        let mut coo = CooMatrix::new(3, 4);
+        for (a, b, v) in [
+            (0, 0, 4.0),
+            (0, 3, -2.0),
+            (1, 1, 0.5),
+            (2, 0, 9.0),
+            (2, 1, -1.0),
+        ] {
+            coo.push(a, b, v);
+        }
+        let w = coo.to_csr();
+        let wt = w.transpose();
+        let (ae, eb) = edge_split(&w);
+        let eb_t = eb.transpose();
+        let sides = [
+            (Factor::SplitLeft(&w), &ae),
+            (Factor::SplitRight { w: &w, wt: &wt }, &eb_t),
+        ];
+        let mut buf = (Vec::new(), Vec::new());
+        for (f, want) in sides {
+            assert_eq!(f.to_csr().as_ref(), want);
+            assert_eq!((f.nrows(), f.ncols()), want.shape());
+            for r in 0..want.nrows() {
+                let (cols, vals) = f.row(r, &mut buf);
+                assert_eq!(cols, want.row_indices(r));
+                assert_eq!(vals, want.row_values(r));
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 use crate::cache::{CacheStats, Halves, PathCache};
-use crate::decompose::{decompose, edge_split};
-use crate::reachable::{normalize_chain, propagate};
+use crate::decompose::{decompose, half_factors, Factor};
+use crate::reachable::walk;
 use crate::{CoreError, Result};
 use hetesim_graph::{Direction, Hin, MetaPath, Step};
 use hetesim_sparse::{parallel, CooMatrix, CsrMatrix, SparseVec};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Cache key of a step sequence (same format as `MetaPath::cache_key`,
@@ -186,8 +187,12 @@ impl<'a> HeteSimEngine<'a> {
     /// divide each value exactly once by the divisor `row_normalized`
     /// would have used, and the association order comes from the planner,
     /// which only looks at shapes and nnz — both normalization-invariant).
-    fn chain_product_fused(&self, mats: &[CsrMatrix], divisors: &[Vec<f64>]) -> Result<CsrMatrix> {
-        let refs: Vec<&CsrMatrix> = mats.iter().collect();
+    fn chain_product_fused(
+        &self,
+        mats: &[Cow<'_, CsrMatrix>],
+        divisors: &[Vec<f64>],
+    ) -> Result<CsrMatrix> {
+        let refs: Vec<&CsrMatrix> = mats.iter().map(|m| m.as_ref()).collect();
         let divs: Vec<&[f64]> = divisors.iter().map(|d| d.as_slice()).collect();
         Ok(hetesim_sparse::chain::multiply_chain_fused_threaded(
             &refs,
@@ -210,7 +215,9 @@ impl<'a> HeteSimEngine<'a> {
             Ok((left, right))
         } else {
             let ms = l / 2;
-            let (ae, eb) = edge_split(self.hin.step_adjacency(steps[ms]));
+            let w = self.hin.step_adjacency(steps[ms]);
+            let wt = self.hin.step_adjacency(steps[ms].reversed());
+            let ae = Factor::SplitLeft(w).to_csr();
             // When a prefix product consumes the split factor, its row
             // normalization is fused into that multiplication (the divisors
             // scale the right operand's values in-flight — bit-identical to
@@ -228,7 +235,7 @@ impl<'a> HeteSimEngine<'a> {
                     self.threads,
                 )?
             };
-            let eb_t = eb.transpose();
+            let eb_t = Factor::SplitRight { w, wt }.to_csr();
             let right = if ms + 1 == l {
                 eb_t.row_normalized_threaded(self.threads)
             } else {
@@ -371,25 +378,14 @@ impl<'a> HeteSimEngine<'a> {
     }
 
     /// Normalized HeteSim of one pair computed *online*: both walkers'
-    /// distributions are propagated as sparse vectors without materializing
-    /// the half-path matrices. Cheaper for one-off queries on paths that
-    /// will not be reused; the ablation benches compare the two modes.
+    /// distributions are propagated as sparse vectors through the path's
+    /// borrowed factors (see [`walk`]), without materializing the
+    /// half-path matrices or copying the network. Cheaper for one-off
+    /// queries on paths that will not be reused; the ablation benches
+    /// compare the two modes.
     pub fn pair_online(&self, path: &MetaPath, a: u32, b: u32) -> Result<f64> {
         let _span = hetesim_obs::span("core.engine.pair_online");
-        self.check_source(path, a)?;
-        self.check_target(path, b)?;
-        let d = decompose(self.hin, path)?;
-        let left = normalize_chain(d.left);
-        let right = normalize_chain(d.right_rev);
-        let la = propagate(
-            SparseVec::unit(self.hin.node_count(path.source_type()), a as usize),
-            &left,
-        )?;
-        let rb = propagate(
-            SparseVec::unit(self.hin.node_count(path.target_type()), b as usize),
-            &right,
-        )?;
-        Ok(la.cosine(&rb))
+        self.walk_pair(path, a, b, walk)
     }
 
     /// Approximate normalized HeteSim of one pair: both walkers propagate
@@ -400,19 +396,34 @@ impl<'a> HeteSimEngine<'a> {
     /// is exact; smaller `keep` trades accuracy for bounded per-step work.
     pub fn pair_truncated(&self, path: &MetaPath, a: u32, b: u32, keep: usize) -> Result<f64> {
         let _span = hetesim_obs::span!("core.engine.pair_truncated", keep = keep);
+        self.walk_pair(path, a, b, |mut v, factors| {
+            for f in factors {
+                v = walk(v, std::slice::from_ref(f)).truncated_top(keep);
+            }
+            v
+        })
+    }
+
+    /// Walks both endpoints of a pair to the middle with `propagate` and
+    /// returns the cosine of the two distributions.
+    fn walk_pair(
+        &self,
+        path: &MetaPath,
+        a: u32,
+        b: u32,
+        propagate: impl Fn(SparseVec, &[Factor]) -> SparseVec,
+    ) -> Result<f64> {
         self.check_source(path, a)?;
         self.check_target(path, b)?;
-        let d = decompose(self.hin, path)?;
-        let left = normalize_chain(d.left);
-        let right = normalize_chain(d.right_rev);
-        let mut la = SparseVec::unit(self.hin.node_count(path.source_type()), a as usize);
-        for m in &left {
-            la = m.vecmat(&la)?.truncated_top(keep);
-        }
-        let mut rb = SparseVec::unit(self.hin.node_count(path.target_type()), b as usize);
-        for m in &right {
-            rb = m.vecmat(&rb)?.truncated_top(keep);
-        }
+        let (left, right) = half_factors(self.hin, path);
+        let la = propagate(
+            SparseVec::unit(self.hin.node_count(path.source_type()), a as usize),
+            &left,
+        );
+        let rb = propagate(
+            SparseVec::unit(self.hin.node_count(path.target_type()), b as usize),
+            &right,
+        );
         Ok(la.cosine(&rb))
     }
 

@@ -8,37 +8,14 @@
 //! exactly the PCRW (path-constrained random walk) score, so the baselines
 //! crate reuses these kernels.
 
-use crate::Result;
+use crate::decompose::Factor;
+use crate::{CoreError, Result};
 use hetesim_graph::{Hin, Step};
 use hetesim_sparse::{chain, CsrMatrix, SparseVec};
 
 /// Row-stochastic transition matrices for a step sequence, in order.
 pub fn transition_chain(hin: &Hin, steps: &[Step]) -> Vec<CsrMatrix> {
     steps.iter().map(|&s| hin.step_transition(s)).collect()
-}
-
-/// Normalizes a pre-built adjacency chain in place (each matrix becomes
-/// row-stochastic). Used when the chain already contains edge-object
-/// matrices from an odd-path decomposition.
-pub fn normalize_chain(mats: Vec<CsrMatrix>) -> Vec<CsrMatrix> {
-    mats.into_iter().map(|m| m.row_normalized()).collect()
-}
-
-/// [`normalize_chain`] with each (large enough) matrix normalized by
-/// `threads` workers. Bit-identical to the serial version at every thread
-/// count — per-row normalization is order-preserving.
-///
-/// The engine's half-path builds no longer call this: they pass each
-/// factor's [`CsrMatrix::row_sum_divisors`] to the fused chain multiply
-/// (`hetesim_sparse::chain::multiply_chain_fused_threaded`), which applies
-/// the same divisions in-flight during the SpGEMM numeric phase instead of
-/// materializing the stochastic chain. This entry point remains for
-/// callers that need the normalized matrices themselves (vector
-/// propagation, tests, ablations).
-pub fn normalize_chain_threaded(mats: Vec<CsrMatrix>, threads: usize) -> Vec<CsrMatrix> {
-    mats.into_iter()
-        .map(|m| m.row_normalized_threaded(threads))
-        .collect()
 }
 
 /// Multiplies a chain of stochastic matrices into a single
@@ -55,25 +32,84 @@ pub fn reachable_matrix(hin: &Hin, steps: &[Step]) -> Result<CsrMatrix> {
     product(&mats)
 }
 
-/// Propagates a single source distribution through a chain of stochastic
-/// matrices — the single-source/online-query variant (Section 4.6): one
-/// sparse vector-matrix product per step instead of a full SpGEMM chain.
-pub fn propagate(start: SparseVec, mats: &[CsrMatrix]) -> Result<SparseVec> {
+/// Propagates a distribution through a chain of factors, each
+/// row-normalized on the fly — the online query of Section 4.6, and
+/// PCRW's walk. Nothing is copied from the network: each row the walk
+/// touches is read through its [`Factor`] and divided by its own row sum
+/// (the divisor [`CsrMatrix::row_sum_divisors`] gives; zero-sum rows stay
+/// as they are).
+///
+/// Rows are visited in ascending order into a dense accumulator plus a
+/// touched list, which is then sorted and filtered of zeros. Each output
+/// entry thus adds its terms in the same order as multiplying the
+/// materialized row-stochastic chain would, and the result is bitwise
+/// equal to that product.
+///
+/// # Panics
+/// Panics if `start`'s dimension is not the first factor's row count, or
+/// a factor's row count is not the previous factor's column count.
+pub fn walk(start: SparseVec, factors: &[Factor]) -> SparseVec {
+    let width = factors.iter().map(Factor::ncols).max().unwrap_or(0);
+    let mut acc = vec![0.0f64; width];
+    let mut seen = vec![false; width];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut buf = (Vec::new(), Vec::new());
     let mut v = start;
-    for m in mats {
-        v = m.vecmat(&v)?;
+    for f in factors {
+        assert_eq!(
+            v.dim(),
+            f.nrows(),
+            "walk: vector and factor dimensions differ"
+        );
+        for (r, x) in v.iter() {
+            let (cols, vals) = f.row(r, &mut buf);
+            let s: f64 = vals.iter().sum();
+            let div = if s != 0.0 { s } else { 1.0 };
+            for (&c, &w) in cols.iter().zip(vals) {
+                let c = c as usize;
+                if !seen[c] {
+                    seen[c] = true;
+                    touched.push(c as u32);
+                }
+                acc[c] += x * (w / div);
+            }
+        }
+        touched.sort_unstable();
+        let mut indices = Vec::with_capacity(touched.len());
+        let mut values = Vec::with_capacity(touched.len());
+        for c in touched.drain(..) {
+            let c = c as usize;
+            if acc[c] != 0.0 {
+                indices.push(c as u32);
+                values.push(acc[c]);
+            }
+            acc[c] = 0.0;
+            seen[c] = false;
+        }
+        v = SparseVec::from_parts(f.ncols(), indices, values);
     }
-    Ok(v)
+    v
 }
 
-/// One-hot propagation from a single object.
+/// One-hot propagation from a single object along a step sequence.
+/// Returns [`CoreError::NodeOutOfRange`] when `source` is not an object
+/// of the sequence's first type.
 pub fn propagate_from(hin: &Hin, steps: &[Step], source: u32) -> Result<SparseVec> {
-    let mats = transition_chain(hin, steps);
-    let dim = mats
+    let factors: Vec<Factor> = steps
+        .iter()
+        .map(|&s| Factor::Step(hin.step_adjacency(s)))
+        .collect();
+    let dim = factors
         .first()
-        .map(|m| m.nrows())
-        .unwrap_or_else(|| hin.total_nodes());
-    propagate(SparseVec::unit(dim, source as usize), &mats)
+        .map_or_else(|| hin.total_nodes(), Factor::nrows);
+    if source as usize >= dim {
+        return Err(CoreError::NodeOutOfRange {
+            endpoint: "source",
+            index: source,
+            count: dim,
+        });
+    }
+    Ok(walk(SparseVec::unit(dim, source as usize), &factors))
 }
 
 #[cfg(test)]
@@ -143,16 +179,5 @@ mod tests {
         let sigmod = hin.node_id(c, "SIGMOD").unwrap() as usize;
         let mary = hin.node_id(a, "Mary").unwrap() as usize;
         assert!((pm.get(sigmod, mary) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_chain_makes_rows_stochastic() {
-        let hin = toy();
-        let w = hin.schema().relation_id("writes").unwrap();
-        let mats = normalize_chain(vec![hin.adjacency(w).clone()]);
-        for r in 0..mats[0].nrows() {
-            let s: f64 = mats[0].row_values(r).iter().sum();
-            assert!((s - 1.0).abs() < 1e-12);
-        }
     }
 }

@@ -536,28 +536,6 @@ impl CsrMatrix {
         Ok(y)
     }
 
-    /// Vector-matrix product `x^T * self` for a sparse vector; returns a
-    /// sparse vector of dimension `ncols`. This is the single-source kernel:
-    /// propagating one object's probability mass across one relation.
-    pub fn vecmat(&self, x: &SparseVec) -> Result<SparseVec> {
-        if x.dim() != self.nrows {
-            return Err(SparseError::DimensionMismatch {
-                op: "vecmat",
-                left: (1, x.dim()),
-                right: self.shape(),
-            });
-        }
-        let mut acc = std::collections::BTreeMap::<u32, f64>::new();
-        for (r, xv) in x.iter() {
-            for (&c, &v) in self.row_indices(r).iter().zip(self.row_values(r)) {
-                *acc.entry(c).or_insert(0.0) += xv * v;
-            }
-        }
-        let (indices, values): (Vec<u32>, Vec<f64>) =
-            acc.into_iter().filter(|&(_, v)| v != 0.0).unzip();
-        Ok(SparseVec::from_parts(self.ncols, indices, values))
-    }
-
     /// Row-stochastic normalization: each non-empty row is scaled to sum to
     /// one (the `U_{AB}` transition matrix of Definition 8). Empty rows stay
     /// empty — an object with no out-neighbors contributes zero relatedness,
@@ -1034,17 +1012,6 @@ mod tests {
         let m = small();
         let y = m.matvec(&[1.0, 1.0, 1.0]).unwrap();
         assert_eq!(y, vec![3.0, 3.0]);
-    }
-
-    #[test]
-    fn vecmat_single_source() {
-        let m = small();
-        let x = SparseVec::from_parts(2, vec![0], vec![2.0]);
-        let y = m.vecmat(&x).unwrap();
-        assert_eq!(y.dim(), 3);
-        assert_eq!(y.get(0), 2.0);
-        assert_eq!(y.get(2), 4.0);
-        assert_eq!(y.get(1), 0.0);
     }
 
     #[test]

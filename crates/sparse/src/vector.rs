@@ -137,19 +137,24 @@ impl SparseVec {
     /// of truncated approximate search (Section 4.6 of the paper): walk
     /// distributions concentrate on few objects, so dropping the tail
     /// after each propagation step bounds work with little accuracy loss.
-    pub fn truncated_top(&self, k: usize) -> SparseVec {
+    /// The `k` kept entries are selected in linear time; only they are
+    /// sorted.
+    pub fn truncated_top(self, k: usize) -> SparseVec {
         if self.nnz() <= k {
-            return self.clone();
+            return self;
         }
         let mut order: Vec<usize> = (0..self.nnz()).collect();
-        order.sort_by(|&a, &b| {
-            self.values[b]
-                .abs()
-                .partial_cmp(&self.values[a].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| self.indices[a].cmp(&self.indices[b]))
-        });
-        let mut keep: Vec<usize> = order[..k].to_vec();
+        if k > 0 {
+            // |value| descending, then index ascending: a total order, so
+            // the kept set is the one a full sort would keep.
+            order.select_nth_unstable_by(k - 1, |&a, &b| {
+                self.values[b]
+                    .abs()
+                    .total_cmp(&self.values[a].abs())
+                    .then_with(|| self.indices[a].cmp(&self.indices[b]))
+            });
+        }
+        let keep = &mut order[..k];
         keep.sort_unstable();
         SparseVec {
             dim: self.dim,
@@ -307,8 +312,8 @@ mod tests {
     #[test]
     fn truncated_top_noop_when_k_large() {
         let v = SparseVec::from_dense(&[0.1, 0.9]);
-        assert_eq!(v.truncated_top(10), v);
-        assert_eq!(v.truncated_top(2), v);
+        assert_eq!(v.clone().truncated_top(10), v);
+        assert_eq!(v.clone().truncated_top(2), v);
     }
 
     #[test]

@@ -396,4 +396,30 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn truncated_top_matches_full_sort(
+        // Few distinct magnitudes of both signs, so ties are common.
+        xs in proptest::collection::vec((0u8..=4, any::<bool>()), 0..24),
+        k in 0..28usize,
+    ) {
+        let dense: Vec<f64> = xs
+            .iter()
+            .map(|&(m, neg)| if neg { -f64::from(m) } else { f64::from(m) })
+            .collect();
+        let v = SparseVec::from_dense(&dense);
+        let want = full_sort_top(&v, k);
+        prop_assert_eq!(v.truncated_top(k), want);
+    }
+}
+
+/// `truncated_top` by sorting every entry under (|value| descending,
+/// index ascending) and keeping the first `k`.
+fn full_sort_top(v: &SparseVec, k: usize) -> SparseVec {
+    let mut entries: Vec<(u32, f64)> = v.iter().map(|(i, x)| (i as u32, x)).collect();
+    entries.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then(a.0.cmp(&b.0)));
+    entries.truncate(k);
+    entries.sort_by_key(|e| e.0);
+    let (indices, values) = entries.into_iter().unzip();
+    SparseVec::from_parts(v.dim(), indices, values)
 }
