@@ -1,8 +1,8 @@
-use hetesim_obs::lockcheck::TrackedRwLock as RwLock;
-use hetesim_sparse::CsrMatrix;
-use std::collections::HashMap;
+use hetesim_obs::lockcheck::{self, TrackedMutex as Mutex, TrackedRwLock as RwLock};
+use hetesim_sparse::{CsrMatrix, SparseError};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, Condvar, PoisonError};
 
 pub use hetesim_obs::CacheStats;
 
@@ -14,12 +14,16 @@ pub use hetesim_obs::CacheStats;
 /// matrices helps to fasten the computation". Once a path's halves are
 /// built, single pairs are two row reads and a sparse dot; top-k queries
 /// touch only the middle objects the source actually reaches.
+///
+/// On a symmetric path (`P = P⁻¹`) `PL` is `PR⁻¹` (Definitions 5 and 8),
+/// so `left` and `right` point to one shared matrix.
 #[derive(Debug)]
 pub struct Halves {
     /// `PM_PL`: source type × middle (row-stochastic product).
-    pub left: CsrMatrix,
-    /// `PM_PR⁻¹`: target type × middle.
-    pub right: CsrMatrix,
+    pub left: Arc<CsrMatrix>,
+    /// `PM_PR⁻¹`: target type × middle; the same allocation as `left`
+    /// on a symmetric path.
+    pub right: Arc<CsrMatrix>,
     /// Transpose of `right` (middle × target), used by pruned top-k search.
     pub right_t: CsrMatrix,
     /// Euclidean norms of `left`'s rows (Definition 10 denominators).
@@ -29,14 +33,53 @@ pub struct Halves {
 }
 
 impl Halves {
-    /// Approximate heap residency of the three matrices and two norm
-    /// vectors. CSR row pointers are `u32` (nnz is checked to fit the u32
+    /// Validates the raw half products and derives what queries need:
+    /// row norms and the transposed right half. `right = None` marks a
+    /// symmetric path, whose `PM_PR⁻¹` is `left` itself; that one matrix
+    /// is checked and measured once and shared by both fields.
+    pub fn new(left: CsrMatrix, right: Option<CsrMatrix>) -> Result<Halves, SparseError> {
+        left.check_finite("hetesim left half")?;
+        if let Some(right) = &right {
+            right.check_finite("hetesim right half")?;
+        }
+        let left = Arc::new(left);
+        let left_norms = left.row_l2_norms();
+        let (right, right_norms) = match right {
+            Some(right) => {
+                let norms = right.row_l2_norms();
+                (Arc::new(right), norms)
+            }
+            None => (Arc::clone(&left), left_norms.clone()),
+        };
+        let right_t = right.transpose();
+        Ok(Halves {
+            left,
+            right,
+            right_t,
+            left_norms,
+            right_norms,
+        })
+    }
+
+    /// True when `left` and `right` are one shared matrix.
+    pub fn is_shared(&self) -> bool {
+        Arc::ptr_eq(&self.left, &self.right)
+    }
+
+    /// Approximate heap residency of the matrices and the two norm
+    /// vectors: `left`, `right_t`, and `right` unless it is the shared
+    /// `left`. CSR row pointers are `u32` (nnz is checked to fit the u32
     /// index space at construction), so a cached half costs
     /// `12·nnz + 4·(nrows+1)` matrix bytes — budgets sized against the
     /// old `usize` pointers hold strictly more entries now.
     pub fn mem_bytes(&self) -> usize {
+        let right = if self.is_shared() {
+            0
+        } else {
+            self.right.mem_bytes()
+        };
         self.left.mem_bytes()
-            + self.right.mem_bytes()
+            + right
             + self.right_t.mem_bytes()
             + (self.left_norms.len() + self.right_norms.len()) * std::mem::size_of::<f64>()
     }
@@ -94,6 +137,11 @@ pub struct PathCache {
     /// optimization 2): `C-P-A` is computed once and reused by `C-P-A-P-A`,
     /// `C-P-A-P-C`, … when prefix reuse is enabled on the engine.
     partial: RwLock<HashMap<String, Entry<CsrMatrix>>>,
+    /// Keys whose halves one caller is building right now; concurrent
+    /// callers of such a key wait on `built` (single-flight builds).
+    building: Mutex<HashSet<String>>,
+    /// Notified whenever a build of a `building` key ends.
+    built: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Approximate resident bytes of everything cached.
@@ -112,6 +160,8 @@ impl Default for PathCache {
         PathCache {
             inner: RwLock::named("core.cache.inner", HashMap::new()),
             partial: RwLock::named("core.cache.partial", HashMap::new()),
+            building: Mutex::named("core.cache.building", HashSet::new()),
+            built: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -209,44 +259,52 @@ impl PathCache {
         );
     }
 
+    /// The cached halves for `key`, counting the hit and refreshing the
+    /// entry's LRU clock.
+    fn lookup(&self, key: &str) -> Option<Arc<Halves>> {
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        let e = inner.get(key)?;
+        e.last_used.store(self.next_tick(), Ordering::Relaxed);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        hetesim_obs::add("core.cache.prefix_cache.hits", 1);
+        hetesim_obs::trace_event("core.cache.hit");
+        Some(Arc::clone(&e.value))
+    }
+
     /// Fetches the halves for `key`, or builds and inserts them.
+    ///
+    /// A hit takes only the read lock. Builds are single-flight per key:
+    /// while one caller builds a cold key, concurrent callers of the
+    /// same key wait, then count a hit on the cached result. A failed
+    /// build caches nothing, so the next waiter builds in turn; so does a
+    /// waiter whose value was too large for the budget to cache.
     pub fn get_or_build<F, E>(&self, key: &str, build: F) -> Result<Arc<Halves>, E>
     where
         F: FnOnce() -> Result<Halves, E>,
     {
-        if let Some(e) = self
-            .inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-        {
-            e.last_used.store(self.next_tick(), Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            hetesim_obs::add("core.cache.prefix_cache.hits", 1);
-            hetesim_obs::trace_event("core.cache.hit");
-            return Ok(Arc::clone(&e.value));
+        if let Some(hit) = self.lookup(key) {
+            return Ok(hit);
         }
-        // Build outside the lock; a racing duplicate build is acceptable
-        // (both produce identical data, last insert wins).
+        let mut building = self.building.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            // Checked again under `building`: a build that ended since
+            // the lookup above has inserted its result by now.
+            if let Some(hit) = self.lookup(key) {
+                return Ok(hit);
+            }
+            if building.insert(key.to_string()) {
+                break;
+            }
+            building =
+                lockcheck::wait(&self.built, building).unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(building);
+        let _flight = Flight { cache: self, key };
         hetesim_obs::trace_event("core.cache.miss");
         let built = Arc::new(build()?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         hetesim_obs::add("core.cache.prefix_cache.misses", 1);
-        let bytes = built.mem_bytes() as u64;
-        let budget = self.budget.load(Ordering::Relaxed);
-        if budget != 0 && bytes > budget {
-            // Larger than the whole budget: hand it to the caller uncached
-            // so residency never exceeds the cap.
-            return Ok(built);
-        }
-        let entry = Entry::new(Arc::clone(&built), bytes, self.next_tick());
-        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let mut partial = self.partial.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(old) = inner.insert(key.to_string(), entry) {
-            self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-        }
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.evict_locked(&mut inner, &mut partial);
+        self.insert(key, Arc::clone(&built));
         Ok(built)
     }
 
@@ -361,19 +419,33 @@ impl PathCache {
     }
 }
 
+/// One caller's build of a key in [`PathCache::get_or_build`]. Dropping
+/// it, also when the build fails or panics, removes the key from
+/// `building` and wakes the waiters.
+struct Flight<'a> {
+    cache: &'a PathCache,
+    key: &'a str,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        let mut building = self
+            .cache
+            .building
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        building.remove(self.key);
+        self.cache.built.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn dummy_halves() -> Halves {
         let m = CsrMatrix::identity(2);
-        Halves {
-            left: m.clone(),
-            right: m.clone(),
-            right_t: m.clone(),
-            left_norms: vec![1.0, 1.0],
-            right_norms: vec![1.0, 1.0],
-        }
+        Halves::new(m.clone(), Some(m)).unwrap()
     }
 
     #[test]
@@ -393,6 +465,55 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (2, 1));
         assert_eq!(stats.entries, 1);
         assert!(stats.bytes > 0, "cached halves should report residency");
+    }
+
+    #[test]
+    fn a_waiter_retries_after_a_failed_build() {
+        let cache = PathCache::new();
+        let builds = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(4);
+        let failures = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache
+                            .get_or_build("k", || {
+                                let n = builds.fetch_add(1, Ordering::Relaxed);
+                                std::thread::sleep(std::time::Duration::from_millis(20));
+                                if n == 0 {
+                                    Err("first build fails")
+                                } else {
+                                    Ok(dummy_halves())
+                                }
+                            })
+                            .is_err()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap())
+                .filter(|&failed| failed)
+                .count()
+        });
+        // The failure is not cached: exactly one later build succeeds and
+        // every other caller hits it.
+        assert_eq!(failures, 1);
+        assert_eq!(builds.load(Ordering::Relaxed), 2);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_shared_half_is_stored_and_counted_once() {
+        let m = CsrMatrix::identity(3);
+        let shared = Halves::new(m.clone(), None).unwrap();
+        let separate = Halves::new(m.clone(), Some(m.clone())).unwrap();
+        assert!(shared.is_shared() && !separate.is_shared());
+        assert_eq!(shared.mem_bytes() + m.mem_bytes(), separate.mem_bytes());
+        assert_eq!(shared.right_norms, separate.right_norms);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! verify `W_AE · W_EB = W`. The engine reads the split through borrowed
 //! [`Factor`]s instead, row by row or materialized one side at a time.
 
-use crate::Result;
+use crate::{CoreError, Result};
 use hetesim_graph::{Hin, MetaPath};
 use hetesim_sparse::CsrMatrix;
 use std::borrow::Cow;
@@ -295,6 +295,37 @@ pub(crate) fn half_factors<'a>(
         right_rev.push(Factor::SplitRight { w, wt });
     }
     (left, right_rev)
+}
+
+/// Checks that `left` and `right` have the shapes `PM_PL` and `PM_PR⁻¹`
+/// of `path` have on `hin`: source (target) count × middle dimension,
+/// the middle being the meeting type or, on an odd path, the edge
+/// objects of the middle relation.
+pub(crate) fn check_half_shapes(
+    hin: &Hin,
+    path: &MetaPath,
+    left: &CsrMatrix,
+    right: &CsrMatrix,
+) -> Result<()> {
+    let middle = half_factors(hin, path)
+        .0
+        .last()
+        .map_or_else(|| hin.node_count(path.source_type()), Factor::ncols);
+    let sides = [
+        ("left", left, path.source_type()),
+        ("right", right, path.target_type()),
+    ];
+    for (half, m, ty) in sides {
+        let expected = (hin.node_count(ty), middle);
+        if m.shape() != expected {
+            return Err(CoreError::HalfShape {
+                half,
+                expected,
+                found: m.shape(),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Decomposes a relevance path `P` into `PL` / `PR⁻¹` matrix chains

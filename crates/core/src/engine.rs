@@ -1,5 +1,5 @@
 use crate::cache::{CacheStats, Halves, PathCache};
-use crate::decompose::{decompose, half_factors, Factor};
+use crate::decompose::{check_half_shapes, decompose, half_factors, Factor};
 use crate::reachable::walk;
 use crate::{CoreError, Result};
 use hetesim_graph::{Direction, Hin, MetaPath, Step};
@@ -114,32 +114,15 @@ impl<'a> HeteSimEngine<'a> {
     /// derived structures (transpose, row norms) are recomputed here by
     /// the same deterministic code [`HeteSimEngine::warm`] runs, so an
     /// engine restored from a snapshot is bitwise-identical to one that
-    /// built the products itself. The halves are validated (finite
-    /// values, matching middle dimension) before they are cached.
+    /// built the products itself. The halves are validated (shapes the
+    /// path has on this network, finite values) before they are cached.
+    /// Equal halves of a symmetric path are stored once, as
+    /// [`HeteSimEngine::warm`] stores them.
     pub fn install_halves(&self, path: &MetaPath, left: CsrMatrix, right: CsrMatrix) -> Result<()> {
-        left.check_finite("hetesim left half")?;
-        right.check_finite("hetesim right half")?;
-        if left.ncols() != right.ncols() {
-            return Err(CoreError::Sparse(
-                hetesim_sparse::SparseError::DimensionMismatch {
-                    op: "install_halves",
-                    left: left.shape(),
-                    right: right.shape(),
-                },
-            ));
-        }
-        let (left_norms, right_norms, right_t) =
-            (left.row_l2_norms(), right.row_l2_norms(), right.transpose());
-        self.cache.insert(
-            &path.cache_key(),
-            Arc::new(Halves {
-                left,
-                right,
-                right_t,
-                left_norms,
-                right_norms,
-            }),
-        );
+        check_half_shapes(self.hin, path, &left, &right)?;
+        let right = (!(path.is_symmetric() && left == right)).then_some(right);
+        self.cache
+            .insert(&path.cache_key(), Arc::new(Halves::new(left, right)?));
         Ok(())
     }
 
@@ -204,15 +187,19 @@ impl<'a> HeteSimEngine<'a> {
     /// Builds the two half-products through the prefix cache
     /// (`reuse_prefixes` mode): pure-step prefixes are shared across
     /// paths; odd paths append the edge-object split as a final factor.
-    fn build_halves_prefix(&self, path: &MetaPath) -> Result<(CsrMatrix, CsrMatrix)> {
+    /// The right half is `None` on a symmetric path (it is the left one).
+    fn build_halves_prefix(&self, path: &MetaPath) -> Result<(CsrMatrix, Option<CsrMatrix>)> {
         let steps = path.steps();
         let l = steps.len();
         if l % 2 == 0 {
             let mid = l / 2;
             let left = (*self.prefix_product(&steps[..mid])?).clone();
+            if path.is_symmetric() {
+                return Ok((left, None));
+            }
             let rsteps: Vec<Step> = steps[mid..].iter().rev().map(|s| s.reversed()).collect();
             let right = (*self.prefix_product(&rsteps)?).clone();
-            Ok((left, right))
+            Ok((left, Some(right)))
         } else {
             let ms = l / 2;
             let w = self.hin.step_adjacency(steps[ms]);
@@ -250,11 +237,17 @@ impl<'a> HeteSimEngine<'a> {
                     self.threads,
                 )?
             };
-            Ok((left, right))
+            Ok((left, Some(right)))
         }
     }
 
     /// Materializes (or fetches) the half-path products of a path.
+    ///
+    /// A symmetric path (`P = P⁻¹`, always of even length) builds only
+    /// `PM_PL`: its `PR⁻¹` chain has the same factors, divisors and
+    /// planner order (`step_adjacency(s.reversed())` of the mirrored step
+    /// is `step_adjacency(s)`), so `PM_PR⁻¹` would be bitwise the same
+    /// matrix, and [`Halves::new`] shares it.
     pub(crate) fn halves(&self, path: &MetaPath) -> Result<Arc<Halves>> {
         let key = path.cache_key();
         self.cache.get_or_build(&key, || {
@@ -267,7 +260,7 @@ impl<'a> HeteSimEngine<'a> {
                 let _stage = hetesim_obs::span("core.engine.chain");
                 self.build_halves_prefix(path)?
             } else {
-                let (ml, dl, mr, dr) = {
+                let (d, dl, dr) = {
                     // Normalize stage: splitting the path into half chains
                     // and computing each factor's row-sum divisors. The
                     // O(nnz) divisions themselves happen inside the chain
@@ -275,33 +268,25 @@ impl<'a> HeteSimEngine<'a> {
                     // divisor vectors are materialized here.
                     let _stage = hetesim_obs::span("core.engine.normalize");
                     let d = decompose(self.hin, path)?;
-                    let dl: Vec<Vec<f64>> = d.left.iter().map(|m| m.row_sum_divisors()).collect();
-                    let dr: Vec<Vec<f64>> =
-                        d.right_rev.iter().map(|m| m.row_sum_divisors()).collect();
-                    (d.left, dl, d.right_rev, dr)
+                    let divisors = |ms: &[Cow<'_, CsrMatrix>]| -> Vec<Vec<f64>> {
+                        ms.iter().map(|m| m.row_sum_divisors()).collect()
+                    };
+                    let dl = divisors(&d.left);
+                    let dr = (!path.is_symmetric()).then(|| divisors(&d.right_rev));
+                    (d, dl, dr)
                 };
                 let _stage = hetesim_obs::span("core.engine.chain");
-                (
-                    self.chain_product_fused(&ml, &dl)?,
-                    self.chain_product_fused(&mr, &dr)?,
-                )
+                let left = self.chain_product_fused(&d.left, &dl)?;
+                let right = dr
+                    .map(|dr| self.chain_product_fused(&d.right_rev, &dr))
+                    .transpose()?;
+                (left, right)
             };
             // The cosine stage: everything needed to turn raw half
             // products into normalized scores (norms + transposed right
             // half + finiteness validation of both operands).
-            let (left_norms, right_norms, right_t) = {
-                let _stage = hetesim_obs::span("core.engine.cosine");
-                left.check_finite("hetesim left half")?;
-                right.check_finite("hetesim right half")?;
-                (left.row_l2_norms(), right.row_l2_norms(), right.transpose())
-            };
-            Ok::<_, CoreError>(Halves {
-                left,
-                right,
-                right_t,
-                left_norms,
-                right_norms,
-            })
+            let _stage = hetesim_obs::span("core.engine.cosine");
+            Ok::<_, CoreError>(Halves::new(left, right)?)
         })
     }
 
@@ -554,6 +539,94 @@ mod tests {
             hin.node_id(c, "KDD").unwrap(),
             hin.node_id(c, "SIGMOD").unwrap(),
         )
+    }
+
+    /// A one-row matrix with `ncols` columns.
+    fn one_row(ncols: usize) -> CsrMatrix {
+        let mut coo = CooMatrix::with_capacity(1, ncols, 1);
+        coo.push(0, 0, 1.0);
+        coo.to_csr()
+    }
+
+    #[test]
+    fn install_halves_rejects_a_left_half_of_the_wrong_shape() {
+        let hin = fig4();
+        let apc = MetaPath::parse(hin.schema(), "APC").unwrap();
+        let built = HeteSimEngine::new(&hin).materialized_halves(&apc).unwrap();
+        let e = HeteSimEngine::new(&hin);
+        let err = e
+            .install_halves(&apc, one_row(4), (*built.right).clone())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::HalfShape {
+                half: "left",
+                expected: (3, 4),
+                found: (1, 4),
+            }
+        );
+        assert_eq!(e.cache_stats().entries, 0);
+        // Nothing was cached, so a query builds the real halves instead
+        // of indexing past the short one.
+        let (_, mary, kdd, _) = ids(&hin);
+        assert_eq!(
+            e.pair(&apc, mary, kdd).unwrap(),
+            HeteSimEngine::new(&hin).pair(&apc, mary, kdd).unwrap()
+        );
+    }
+
+    #[test]
+    fn install_halves_rejects_a_right_half_of_the_wrong_shape() {
+        let hin = fig4();
+        let apc = MetaPath::parse(hin.schema(), "APC").unwrap();
+        let built = HeteSimEngine::new(&hin).materialized_halves(&apc).unwrap();
+        let e = HeteSimEngine::new(&hin);
+        let err = e
+            .install_halves(&apc, (*built.left).clone(), one_row(4))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::HalfShape {
+                half: "right",
+                expected: (2, 4),
+                found: (1, 4),
+            }
+        );
+        assert!(err.to_string().contains("right half is 1x4"), "{err}");
+        // Both halves one middle column short: the left half is caught.
+        let narrow = |m: &CsrMatrix| {
+            let mut coo = CooMatrix::with_capacity(m.nrows(), 3, m.nnz());
+            for (r, c, v) in m.iter().filter(|&(_, c, _)| c < 3) {
+                coo.push(r, c, v);
+            }
+            coo.to_csr()
+        };
+        let err = e
+            .install_halves(&apc, narrow(&built.left), narrow(&built.right))
+            .unwrap_err();
+        assert!(matches!(err, CoreError::HalfShape { half: "left", .. }));
+        assert_eq!(e.cache_stats().entries, 0);
+    }
+
+    #[test]
+    fn symmetric_path_stores_one_half() {
+        let hin = fig4();
+        let e = HeteSimEngine::new(&hin);
+        let apa = MetaPath::parse(hin.schema(), "APA").unwrap();
+        let apc = MetaPath::parse(hin.schema(), "APC").unwrap();
+        let h = e.materialized_halves(&apa).unwrap();
+        assert!(h.is_shared());
+        assert!(!e.materialized_halves(&apc).unwrap().is_shared());
+        // Installing equal halves of a symmetric path shares them too,
+        // with the residency of the built entry.
+        let installed = HeteSimEngine::new(&hin);
+        installed
+            .install_halves(&apa, (*h.left).clone(), (*h.right).clone())
+            .unwrap();
+        assert!(installed.materialized_halves(&apa).unwrap().is_shared());
+        let fresh = HeteSimEngine::new(&hin);
+        fresh.warm(&apa).unwrap();
+        assert_eq!(installed.cache_stats().bytes, fresh.cache_stats().bytes);
     }
 
     #[test]

@@ -18,6 +18,16 @@ pub enum CoreError {
         /// Number of nodes of the endpoint's type.
         count: usize,
     },
+    /// An installed half-path product does not have the shape the path
+    /// has on the network (rows: endpoint count; columns: middle).
+    HalfShape {
+        /// Which half ("left" or "right").
+        half: &'static str,
+        /// `(rows, cols)` the path needs.
+        expected: (usize, usize),
+        /// `(rows, cols)` of the offered matrix.
+        found: (usize, usize),
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -33,6 +43,15 @@ impl fmt::Display for CoreError {
                 f,
                 "{endpoint} node #{index} out of range (type has {count} nodes)"
             ),
+            CoreError::HalfShape {
+                half,
+                expected,
+                found,
+            } => write!(
+                f,
+                "{half} half is {}x{}, the path needs {}x{}",
+                found.0, found.1, expected.0, expected.1
+            ),
         }
     }
 }
@@ -42,7 +61,7 @@ impl std::error::Error for CoreError {
         match self {
             CoreError::Graph(e) => Some(e),
             CoreError::Sparse(e) => Some(e),
-            CoreError::NodeOutOfRange { .. } => None,
+            CoreError::NodeOutOfRange { .. } | CoreError::HalfShape { .. } => None,
         }
     }
 }

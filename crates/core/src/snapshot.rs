@@ -24,6 +24,7 @@
 //! validation, so corrupt input can never panic or load silently wrong.
 
 use crate::cache::Halves;
+use crate::decompose::check_half_shapes;
 use hetesim_graph::{binio as gbin, Direction, GraphError, Hin, MetaPath, Schema, Step};
 use hetesim_sparse::{binio as sbin, CsrMatrix, SparseError};
 use std::fmt;
@@ -667,22 +668,12 @@ fn decode_paths(buf: &[u8], schema: &Schema) -> Result<Vec<WarmPath>> {
     let mut reader = sbin::ByteReader::new(buf);
     let count = reader.read_u32("warm path count")? as usize;
     let mut warm = Vec::with_capacity(count.min(buf.len() / 8 + 1));
-    for i in 0..count {
+    for _ in 0..count {
         let key = read_str(&mut reader, "warm path key")?;
         let spec = read_str(&mut reader, "warm path spec")?;
         let path = path_from_key(schema, &key)?;
         let left = sbin::decode_csr(&mut reader)?;
         let right = sbin::decode_csr(&mut reader)?;
-        if left.ncols() != right.ncols() {
-            return Err(SnapshotError::Corrupt {
-                what: format!(
-                    "warm path #{i} ({spec}): halves disagree on middle type \
-                     ({} vs {} columns)",
-                    left.ncols(),
-                    right.ncols()
-                ),
-            });
-        }
         warm.push(WarmPath {
             path,
             spec,
@@ -815,6 +806,13 @@ fn load_sections(buf: &[u8]) -> Result<(Hin, Vec<WarmPath>, Vec<SectionEntry>)> 
     let adj = adj_res?;
     let warm = paths_res?;
     let hin = Hin::from_parts(schema, names, adj)?;
+    for (i, w) in warm.iter().enumerate() {
+        check_half_shapes(&hin, &w.path, &w.left, &w.right).map_err(|e| {
+            SnapshotError::Corrupt {
+                what: format!("warm path #{i} ({}): {e}", w.spec),
+            }
+        })?;
+    }
     Ok((hin, warm, entries))
 }
 

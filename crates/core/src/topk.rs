@@ -365,16 +365,7 @@ mod tests {
     use hetesim_sparse::{CooMatrix, CsrMatrix};
 
     fn halves_from(left: CsrMatrix, right: CsrMatrix) -> Halves {
-        let left_norms = left.row_l2_norms();
-        let right_norms = right.row_l2_norms();
-        let right_t = right.transpose();
-        Halves {
-            left,
-            right,
-            right_t,
-            left_norms,
-            right_norms,
-        }
+        Halves::new(left, Some(right)).unwrap()
     }
 
     /// A skewed fixture: source 0 reaches most middles (hot row), several

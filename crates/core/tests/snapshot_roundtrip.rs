@@ -7,11 +7,13 @@
 //! never a panic and never silently wrong data.
 
 use hetesim_core::snapshot::{self, SnapshotError};
-use hetesim_core::HeteSimEngine;
+use hetesim_core::{Halves, HeteSimEngine};
 use hetesim_graph::{Hin, HinBuilder, MetaPath, Schema};
+use hetesim_sparse::CooMatrix;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// A unique scratch file per test case (no tempfile crate; the workspace
 /// is zero-dependency).
@@ -220,6 +222,31 @@ fn wrong_magic_and_version_are_typed() {
             supported: snapshot::VERSION
         })
     ));
+}
+
+#[test]
+fn warm_halves_of_the_wrong_shape_are_corrupt() {
+    let hin = toy_hin();
+    let engine = HeteSimEngine::with_threads(&hin, 1);
+    let apc = MetaPath::parse(hin.schema(), "A-P-C").unwrap();
+    let built = engine.materialized_halves(&apc).unwrap();
+    // A one-row left half (the network has two authors).
+    let mut coo = CooMatrix::with_capacity(1, built.left.ncols(), 1);
+    coo.push(0, 0, 1.0);
+    let short = Halves::new(coo.to_csr(), Some((*built.right).clone())).unwrap();
+    let file = Scratch(scratch("shape"));
+    snapshot::write_snapshot(&file.0, &hin, &[(apc, Arc::new(short))]).unwrap();
+    for err in [
+        snapshot::read_snapshot(&file.0).unwrap_err(),
+        snapshot::snapshot_info(&file.0).unwrap_err(),
+    ] {
+        match err {
+            SnapshotError::Corrupt { what } => {
+                assert!(what.contains("left half is 1x3"), "{what}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -46,6 +46,7 @@ use std::time::Duration;
 pub const LOCK_ORDER: &[(&str, u32)] = &[
     ("serve.server.queue", 10),
     ("serve.server.slow_log", 15),
+    ("core.cache.building", 18),
     ("core.cache.inner", 20),
     ("core.cache.partial", 25),
     ("sparse.parallel.pool_stats", 30),
@@ -323,14 +324,14 @@ impl<T> Drop for TrackedWriteGuard<'_, T> {
     }
 }
 
-/// `Condvar::wait_timeout` for a [`TrackedMutexGuard`]: the held-lock
-/// entry is released while parked (the condvar atomically unlocks the
-/// mutex) and re-asserted on reacquire, mirroring what the OS does.
-pub fn wait_timeout<'a, T>(
-    cv: &Condvar,
+/// Parks a [`TrackedMutexGuard`] on a condvar through `block`: the
+/// held-lock entry is released while parked (the condvar atomically
+/// unlocks the mutex) and re-asserted on reacquire, mirroring what the
+/// OS does.
+fn park<'a, T, R>(
     mut guard: TrackedMutexGuard<'a, T>,
-    dur: Duration,
-) -> LockResult<(TrackedMutexGuard<'a, T>, WaitTimeoutResult)> {
+    block: impl FnOnce(MutexGuard<'a, T>) -> LockResult<(MutexGuard<'a, T>, R)>,
+) -> LockResult<(TrackedMutexGuard<'a, T>, R)> {
     let name = guard.name;
     let inner = guard.inner.take().expect("guard present");
     #[cfg(feature = "obs-lockcheck")]
@@ -347,12 +348,39 @@ pub fn wait_timeout<'a, T>(
             name,
         }
     };
-    match cv.wait_timeout(inner, dur) {
-        Ok((g, t)) => Ok((rewrap(g), t)),
+    match block(inner) {
+        Ok((g, r)) => Ok((rewrap(g), r)),
         Err(e) => {
-            let (g, t) = e.into_inner();
-            Err(PoisonError::new((rewrap(g), t)))
+            let (g, r) = e.into_inner();
+            Err(PoisonError::new((rewrap(g), r)))
         }
+    }
+}
+
+/// `Condvar::wait_timeout` for a [`TrackedMutexGuard`], with the
+/// held-lock bookkeeping of [`park`].
+pub fn wait_timeout<'a, T>(
+    cv: &Condvar,
+    guard: TrackedMutexGuard<'a, T>,
+    dur: Duration,
+) -> LockResult<(TrackedMutexGuard<'a, T>, WaitTimeoutResult)> {
+    park(guard, |g| cv.wait_timeout(g, dur))
+}
+
+/// `Condvar::wait` for a [`TrackedMutexGuard`], with the held-lock
+/// bookkeeping of [`park`].
+pub fn wait<'a, T>(
+    cv: &Condvar,
+    guard: TrackedMutexGuard<'a, T>,
+) -> LockResult<TrackedMutexGuard<'a, T>> {
+    let unit = |g| (g, ());
+    match park(guard, |g| {
+        cv.wait(g)
+            .map(unit)
+            .map_err(|e| PoisonError::new(unit(e.into_inner())))
+    }) {
+        Ok((g, ())) => Ok(g),
+        Err(e) => Err(PoisonError::new(e.into_inner().0)),
     }
 }
 
@@ -400,6 +428,22 @@ mod tests {
         assert_eq!(*g, 7);
     }
 
+    #[test]
+    fn condvar_wait_wakes_on_notify() {
+        let m = TrackedMutex::named("serve.server.queue", false);
+        let cv = Condvar::new();
+        std::thread::scope(|scope| {
+            let mut ready = m.lock().unwrap_or_else(PoisonError::into_inner);
+            scope.spawn(|| {
+                *m.lock().unwrap_or_else(PoisonError::into_inner) = true;
+                cv.notify_all();
+            });
+            while !*ready {
+                ready = wait(&cv, ready).unwrap_or_else(PoisonError::into_inner);
+            }
+        });
+    }
+
     /// The static↔runtime consistency proof: every `[[lock-order]]`
     /// graph edge in `lint-allow.toml` must be strictly increasing in
     /// `LOCK_ORDER` ranks, through the node-ID → runtime-name mapping.
@@ -409,6 +453,7 @@ mod tests {
         // A node missing here (or an unknown ID in the allowlist) fails
         // the test, forcing the two tables to stay in sync.
         let map: &[(&str, &str)] = &[
+            ("crates/core/src/cache.rs::building", "core.cache.building"),
             ("crates/core/src/cache.rs::inner", "core.cache.inner"),
             ("crates/core/src/cache.rs::partial", "core.cache.partial"),
             ("crates/serve/src/server.rs::queue", "serve.server.queue"),

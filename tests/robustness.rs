@@ -117,6 +117,30 @@ fn hammer_scoped(
 }
 
 #[test]
+fn concurrent_cold_queries_of_one_path_build_it_once() {
+    let acm = hetesim::data::acm::generate(&hetesim::data::acm::AcmConfig::tiny(79));
+    let hin = &acm.hin;
+    let engine = HeteSimEngine::new(hin);
+    let path = MetaPath::parse(hin.schema(), "APVCVPA").unwrap();
+    let start = std::sync::Barrier::new(8);
+    let rankings: Vec<Vec<Ranked>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    engine.top_k(&path, 0, 5).unwrap()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    // One caller built the halves; the other seven waited and hit.
+    let stats = engine.cache_stats();
+    assert_eq!((stats.misses, stats.hits), (1, 7));
+    assert!(rankings.windows(2).all(|w| w[0] == w[1]));
+}
+
+#[test]
 fn prefix_reuse_engine_is_thread_safe_too() {
     let acm = hetesim::data::acm::generate(&hetesim::data::acm::AcmConfig::tiny(78));
     let hin = &acm.hin;
