@@ -85,19 +85,19 @@ impl Halves {
     }
 }
 
-/// A cached value plus the bookkeeping the byte-budgeted eviction policy
-/// needs: its residency and the logical clock of its last access.
+/// Cached halves plus the bookkeeping the byte-budgeted eviction policy
+/// needs: their residency and the logical clock of their last access.
 #[derive(Debug)]
-struct Entry<T> {
-    value: Arc<T>,
+struct Entry {
+    value: Arc<Halves>,
     bytes: u64,
     /// Logical access time (ticks of the cache-wide counter). Updated on
     /// every hit under the read lock, which is why it is atomic.
     last_used: AtomicU64,
 }
 
-impl<T> Entry<T> {
-    fn new(value: Arc<T>, bytes: u64, tick: u64) -> Self {
+impl Entry {
+    fn new(value: Arc<Halves>, bytes: u64, tick: u64) -> Self {
         Entry {
             value,
             bytes,
@@ -119,10 +119,9 @@ impl<T> Entry<T> {
 /// # Byte budget
 ///
 /// [`PathCache::set_budget_bytes`] caps the approximate resident bytes of
-/// everything cached (half-path products and step-prefix products
-/// together). When an insert pushes residency past the cap, entries are
-/// evicted least-recently-used first — across both kinds of entry — until
-/// the cache fits again; each eviction increments the
+/// the cached half-path products. When an insert pushes residency past
+/// the cap, entries are evicted least-recently-used first until the cache
+/// fits again; each eviction increments the
 /// `core.cache.evictions` counter and the current residency is published
 /// as the `core.cache.resident_bytes` gauge. A value whose own footprint
 /// exceeds the whole budget is returned to the caller but never cached, so
@@ -132,11 +131,7 @@ impl<T> Entry<T> {
 /// evicted key simply rebuilds it.
 #[derive(Debug)]
 pub struct PathCache {
-    inner: RwLock<HashMap<String, Entry<Halves>>>,
-    /// Materialized products of step *prefixes* (Section 4.6,
-    /// optimization 2): `C-P-A` is computed once and reused by `C-P-A-P-A`,
-    /// `C-P-A-P-C`, … when prefix reuse is enabled on the engine.
-    partial: RwLock<HashMap<String, Entry<CsrMatrix>>>,
+    inner: RwLock<HashMap<String, Entry>>,
     /// Keys whose halves one caller is building right now; concurrent
     /// callers of such a key wait on `built` (single-flight builds).
     building: Mutex<HashSet<String>>,
@@ -159,7 +154,6 @@ impl Default for PathCache {
     fn default() -> PathCache {
         PathCache {
             inner: RwLock::named("core.cache.inner", HashMap::new()),
-            partial: RwLock::named("core.cache.partial", HashMap::new()),
             building: Mutex::named("core.cache.building", HashSet::new()),
             built: Condvar::new(),
             hits: AtomicU64::new(0),
@@ -191,8 +185,7 @@ impl PathCache {
     pub fn set_budget_bytes(&self, budget_bytes: u64) {
         self.budget.store(budget_bytes, Ordering::Relaxed);
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let mut partial = self.partial.write().unwrap_or_else(PoisonError::into_inner);
-        self.evict_locked(&mut inner, &mut partial);
+        self.evict_locked(&mut inner);
     }
 
     /// The configured byte budget (`0` = unlimited).
@@ -214,39 +207,24 @@ impl PathCache {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Evicts least-recently-used entries (across both maps) until
-    /// residency fits the budget again. Caller holds both write locks.
-    fn evict_locked(
-        &self,
-        inner: &mut HashMap<String, Entry<Halves>>,
-        partial: &mut HashMap<String, Entry<CsrMatrix>>,
-    ) {
+    /// Evicts least-recently-used entries until residency fits the
+    /// budget again. Caller holds the write lock.
+    fn evict_locked(&self, inner: &mut HashMap<String, Entry>) {
         let budget = self.budget.load(Ordering::Relaxed);
         if budget == 0 {
             return;
         }
         while self.bytes.load(Ordering::Relaxed) > budget {
-            // LRU scan: entry counts are small (one per distinct path or
-            // prefix), so a linear pass beats maintaining an ordered
-            // structure under the read-mostly lock.
-            let oldest_half = inner
+            // LRU scan: entry counts are small (one per distinct path), so
+            // a linear pass beats maintaining an ordered structure under
+            // the read-mostly lock.
+            let oldest = inner
                 .iter()
                 .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, e)| (k.clone(), e.last_used.load(Ordering::Relaxed)));
-            let oldest_prefix = partial
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, e)| (k.clone(), e.last_used.load(Ordering::Relaxed)));
-            let freed = match (oldest_half, oldest_prefix) {
-                (Some((hk, ht)), Some((_, pt))) if ht <= pt => inner.remove(&hk).map(|e| e.bytes),
-                (Some(_), Some((pk, _))) => partial.remove(&pk).map(|e| e.bytes),
-                (Some((hk, _)), None) => inner.remove(&hk).map(|e| e.bytes),
-                (None, Some((pk, _))) => partial.remove(&pk).map(|e| e.bytes),
-                (None, None) => None,
-            };
-            match freed {
-                Some(bytes) => {
-                    self.bytes.fetch_sub(bytes, Ordering::Relaxed);
+                .map(|(k, _)| k.clone());
+            match oldest.and_then(|k| inner.remove(&k)) {
+                Some(e) => {
+                    self.bytes.fetch_sub(e.bytes, Ordering::Relaxed);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                     hetesim_obs::add("core.cache.evictions", 1);
                 }
@@ -321,56 +299,11 @@ impl PathCache {
         }
         let entry = Entry::new(value, bytes, self.next_tick());
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let mut partial = self.partial.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(old) = inner.insert(key.to_string(), entry) {
             self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
         }
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.evict_locked(&mut inner, &mut partial);
-    }
-
-    /// Fetches a materialized step-prefix product, or builds and inserts
-    /// it. Prefix lookups are tracked separately from half-path lookups
-    /// (`core.cache.prefix.*` counters) so the two reuse mechanisms stay
-    /// distinguishable in metrics output.
-    pub fn get_or_build_partial<F, E>(&self, key: &str, build: F) -> Result<Arc<CsrMatrix>, E>
-    where
-        F: FnOnce() -> Result<CsrMatrix, E>,
-    {
-        if let Some(e) = self
-            .partial
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-        {
-            e.last_used.store(self.next_tick(), Ordering::Relaxed);
-            hetesim_obs::add("core.cache.prefix.hits", 1);
-            return Ok(Arc::clone(&e.value));
-        }
-        let built = Arc::new(build()?);
-        hetesim_obs::add("core.cache.prefix.misses", 1);
-        let bytes = built.mem_bytes() as u64;
-        let budget = self.budget.load(Ordering::Relaxed);
-        if budget != 0 && bytes > budget {
-            return Ok(built);
-        }
-        let entry = Entry::new(Arc::clone(&built), bytes, self.next_tick());
-        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        let mut partial = self.partial.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(old) = partial.insert(key.to_string(), entry) {
-            self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-        }
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.evict_locked(&mut inner, &mut partial);
-        Ok(built)
-    }
-
-    /// Number of materialized prefix products.
-    pub fn partial_len(&self) -> usize {
-        self.partial
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.evict_locked(&mut inner);
     }
 
     /// Number of cached paths.
@@ -387,28 +320,21 @@ impl PathCache {
     }
 
     /// Counters and residency since construction or the last clear.
-    /// `hits`/`misses` count half-path lookups (prefix-product lookups are
-    /// reported through metrics only); `entries` counts both kinds of
-    /// cached object.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: (self.len() + self.partial_len()) as u64,
+            entries: self.len() as u64,
             bytes: self.bytes.load(Ordering::Relaxed),
         }
     }
 
-    /// Drops all cached halves and prefix products and resets counters.
-    /// Evicted entries are counted into `core.cache.prefix_cache.evictions`.
+    /// Drops all cached halves and resets counters. Evicted entries are
+    /// counted into `core.cache.prefix_cache.evictions`.
     pub fn clear(&self) {
-        let evicted = (self.len() + self.partial_len()) as u64;
+        let evicted = self.len() as u64;
         hetesim_obs::add("core.cache.prefix_cache.evictions", evicted);
         self.inner
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.partial
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
@@ -543,18 +469,6 @@ mod tests {
         assert_eq!(cache.stats().entries, 2);
     }
 
-    #[test]
-    fn partial_entries_count_into_stats() {
-        let cache = PathCache::new();
-        let _: Result<_, ()> = cache.get_or_build_partial("p", || Ok(CsrMatrix::identity(3)));
-        let _: Result<_, ()> = cache.get_or_build_partial("p", || Ok(CsrMatrix::identity(3)));
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 1);
-        // Half-path hit/miss counters are untouched by prefix lookups.
-        assert_eq!((stats.hits, stats.misses), (0, 0));
-        assert!(stats.bytes > 0);
-    }
-
     /// Bytes one dummy halves entry occupies, as the cache accounts it.
     fn entry_bytes() -> u64 {
         dummy_halves().mem_bytes() as u64
@@ -622,22 +536,6 @@ mod tests {
         assert_eq!(r.unwrap().left.nrows(), 2);
         assert!(cache.is_empty());
         assert_eq!(cache.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn prefix_products_share_the_budget() {
-        let halves = entry_bytes();
-        // Two halves entries fit; a halves entry plus the (smaller) prefix
-        // product also fits, but all three together do not.
-        let cache = PathCache::with_budget_bytes(2 * halves);
-        let _: Result<_, ()> = cache.get_or_build_partial("p", || Ok(CsrMatrix::identity(3)));
-        let _: Result<_, ()> = cache.get_or_build("h", || Ok(dummy_halves()));
-        assert_eq!((cache.len(), cache.partial_len()), (1, 1));
-        // A second halves entry must push out the (older) prefix product.
-        let _: Result<_, ()> = cache.get_or_build("h2", || Ok(dummy_halves()));
-        assert!(cache.resident_bytes() <= cache.budget_bytes());
-        assert_eq!(cache.partial_len(), 0);
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -2,24 +2,10 @@ use crate::cache::{CacheStats, Halves, PathCache};
 use crate::decompose::{check_half_shapes, decompose, half_factors, Factor};
 use crate::reachable::walk;
 use crate::{CoreError, Result};
-use hetesim_graph::{Direction, Hin, MetaPath, Step};
-use hetesim_sparse::{parallel, CooMatrix, CsrMatrix, SparseVec};
+use hetesim_graph::{Hin, MetaPath};
+use hetesim_sparse::{chain, parallel, CsrMatrix, SparseVec};
 use std::borrow::Cow;
 use std::sync::Arc;
-
-/// Cache key of a step sequence (same format as `MetaPath::cache_key`,
-/// but computable for arbitrary sub-slices).
-fn steps_key(steps: &[Step]) -> String {
-    let mut s = String::new();
-    for step in steps {
-        s.push(match step.dir {
-            Direction::Forward => '+',
-            Direction::Backward => '-',
-        });
-        s.push_str(&step.rel.index().to_string());
-    }
-    s
-}
 
 /// The HeteSim query engine.
 ///
@@ -36,7 +22,6 @@ pub struct HeteSimEngine<'a> {
     hin: &'a Hin,
     cache: PathCache,
     threads: usize,
-    reuse_prefixes: bool,
 }
 
 impl<'a> HeteSimEngine<'a> {
@@ -63,34 +48,18 @@ impl<'a> HeteSimEngine<'a> {
             } else {
                 threads
             },
-            reuse_prefixes: false,
         }
-    }
-
-    /// Enables prefix-product reuse (Section 4.6, optimization 2): the
-    /// transition products of step prefixes are materialized once and
-    /// shared across concatenable paths (`C-P-A` serves `C-P-A-P-A`,
-    /// `C-P-A-P-C`, …). Trades the chain-order optimization for reuse —
-    /// worthwhile when many related paths are queried against one network.
-    pub fn reuse_prefixes(mut self, on: bool) -> Self {
-        self.reuse_prefixes = on;
-        self
     }
 
     /// Caps the path cache at approximately `budget_bytes` resident bytes
     /// (`0` = unlimited, the default). Once the cap is reached, the least
-    /// recently used half-path or prefix products are evicted; re-querying
+    /// recently used half-path products are evicted; re-querying
     /// an evicted path transparently rebuilds it. This is what makes
     /// long-running servers safe on bounded memory — see
     /// [`PathCache`] for the eviction policy.
     pub fn with_cache_budget(self, budget_bytes: u64) -> Self {
         self.cache.set_budget_bytes(budget_bytes);
         self
-    }
-
-    /// Number of materialized prefix products currently cached.
-    pub fn prefix_cache_len(&self) -> usize {
-        self.cache.partial_len()
     }
 
     /// Pre-materializes the half-path products of `path` so later queries
@@ -126,22 +95,6 @@ impl<'a> HeteSimEngine<'a> {
         Ok(())
     }
 
-    /// Materialized product of the row-stochastic transitions of a step
-    /// sequence, reusing the longest cached prefix.
-    fn prefix_product(&self, steps: &[Step]) -> Result<Arc<CsrMatrix>> {
-        debug_assert!(!steps.is_empty());
-        let key = steps_key(steps);
-        self.cache.get_or_build_partial(&key, || {
-            let last = self.hin.step_transition(steps[steps.len() - 1]);
-            if steps.len() == 1 {
-                Ok::<_, CoreError>(last)
-            } else {
-                let prefix = self.prefix_product(&steps[..steps.len() - 1])?;
-                Ok(parallel::matmul_parallel(&prefix, &last, self.threads)?)
-            }
-        })
-    }
-
     /// The underlying network.
     pub fn hin(&self) -> &'a Hin {
         self.hin
@@ -166,10 +119,8 @@ impl<'a> HeteSimEngine<'a> {
     /// fused into the multiplications: each factor's row-sum divisors are
     /// applied while its values stream through the SpGEMM numeric phase,
     /// so the row-stochastic chain is never materialized. Bit-identical to
-    /// normalize-then-multiply at every thread count (the fused kernels
-    /// divide each value exactly once by the divisor `row_normalized`
-    /// would have used, and the association order comes from the planner,
-    /// which only looks at shapes and nnz — both normalization-invariant).
+    /// normalize-then-multiply at every thread count (see
+    /// [`chain::ChainPlan::execute`]).
     fn chain_product_fused(
         &self,
         mats: &[Cow<'_, CsrMatrix>],
@@ -177,68 +128,7 @@ impl<'a> HeteSimEngine<'a> {
     ) -> Result<CsrMatrix> {
         let refs: Vec<&CsrMatrix> = mats.iter().map(|m| m.as_ref()).collect();
         let divs: Vec<&[f64]> = divisors.iter().map(|d| d.as_slice()).collect();
-        Ok(hetesim_sparse::chain::multiply_chain_fused_threaded(
-            &refs,
-            &divs,
-            self.threads,
-        )?)
-    }
-
-    /// Builds the two half-products through the prefix cache
-    /// (`reuse_prefixes` mode): pure-step prefixes are shared across
-    /// paths; odd paths append the edge-object split as a final factor.
-    /// The right half is `None` on a symmetric path (it is the left one).
-    fn build_halves_prefix(&self, path: &MetaPath) -> Result<(CsrMatrix, Option<CsrMatrix>)> {
-        let steps = path.steps();
-        let l = steps.len();
-        if l % 2 == 0 {
-            let mid = l / 2;
-            let left = (*self.prefix_product(&steps[..mid])?).clone();
-            if path.is_symmetric() {
-                return Ok((left, None));
-            }
-            let rsteps: Vec<Step> = steps[mid..].iter().rev().map(|s| s.reversed()).collect();
-            let right = (*self.prefix_product(&rsteps)?).clone();
-            Ok((left, Some(right)))
-        } else {
-            let ms = l / 2;
-            let w = self.hin.step_adjacency(steps[ms]);
-            let wt = self.hin.step_adjacency(steps[ms].reversed());
-            let ae = Factor::SplitLeft(w).to_csr();
-            // When a prefix product consumes the split factor, its row
-            // normalization is fused into that multiplication (the divisors
-            // scale the right operand's values in-flight — bit-identical to
-            // multiplying the materialized row_normalized factor). Only a
-            // split factor that *is* the returned half is materialized.
-            let left = if ms == 0 {
-                ae.row_normalized_threaded(self.threads)
-            } else {
-                let prefix = self.prefix_product(&steps[..ms])?;
-                parallel::matmul_parallel_fused(
-                    &prefix,
-                    &ae,
-                    None,
-                    Some(&ae.row_sum_divisors()),
-                    self.threads,
-                )?
-            };
-            let eb_t = Factor::SplitRight { w, wt }.to_csr();
-            let right = if ms + 1 == l {
-                eb_t.row_normalized_threaded(self.threads)
-            } else {
-                let rsteps: Vec<Step> =
-                    steps[ms + 1..].iter().rev().map(|s| s.reversed()).collect();
-                let prefix = self.prefix_product(&rsteps)?;
-                parallel::matmul_parallel_fused(
-                    &prefix,
-                    &eb_t,
-                    None,
-                    Some(&eb_t.row_sum_divisors()),
-                    self.threads,
-                )?
-            };
-            Ok((left, Some(right)))
-        }
+        Ok(chain::multiply_chain(&refs, Some(&divs), self.threads)?)
     }
 
     /// Materializes (or fetches) the half-path products of a path.
@@ -256,25 +146,22 @@ impl<'a> HeteSimEngine<'a> {
                 steps = path.steps().len(),
                 odd = (path.steps().len() % 2) as u64,
             );
-            let (left, right) = if self.reuse_prefixes {
-                let _stage = hetesim_obs::span("core.engine.chain");
-                self.build_halves_prefix(path)?
-            } else {
-                let (d, dl, dr) = {
-                    // Normalize stage: splitting the path into half chains
-                    // and computing each factor's row-sum divisors. The
-                    // O(nnz) divisions themselves happen inside the chain
-                    // products (fused normalization) — only the O(nrows)
-                    // divisor vectors are materialized here.
-                    let _stage = hetesim_obs::span("core.engine.normalize");
-                    let d = decompose(self.hin, path)?;
-                    let divisors = |ms: &[Cow<'_, CsrMatrix>]| -> Vec<Vec<f64>> {
-                        ms.iter().map(|m| m.row_sum_divisors()).collect()
-                    };
-                    let dl = divisors(&d.left);
-                    let dr = (!path.is_symmetric()).then(|| divisors(&d.right_rev));
-                    (d, dl, dr)
+            let (d, dl, dr) = {
+                // Normalize stage: splitting the path into half chains
+                // and computing each factor's row-sum divisors. The
+                // O(nnz) divisions themselves happen inside the chain
+                // products (fused normalization) — only the O(nrows)
+                // divisor vectors are materialized here.
+                let _stage = hetesim_obs::span("core.engine.normalize");
+                let d = decompose(self.hin, path)?;
+                let divisors = |ms: &[Cow<'_, CsrMatrix>]| -> Vec<Vec<f64>> {
+                    ms.iter().map(|m| m.row_sum_divisors()).collect()
                 };
+                let dl = divisors(&d.left);
+                let dr = (!path.is_symmetric()).then(|| divisors(&d.right_rev));
+                (d, dl, dr)
+            };
+            let (left, right) = {
                 let _stage = hetesim_obs::span("core.engine.chain");
                 let left = self.chain_product_fused(&d.left, &dl)?;
                 let right = dr
@@ -333,17 +220,17 @@ impl<'a> HeteSimEngine<'a> {
     pub fn matrix(&self, path: &MetaPath) -> Result<CsrMatrix> {
         let _span = hetesim_obs::span("core.engine.matrix");
         let h = self.halves(path)?;
-        let raw = parallel::matmul_parallel(&h.left, &h.right_t, self.threads)?;
-        // Scale entry (a, b) by 1 / (||left_a|| * ||right_b||). Any stored
-        // entry has both norms > 0, since the product entry requires
-        // overlapping support.
-        let mut coo = CooMatrix::with_capacity(raw.nrows(), raw.ncols(), raw.nnz());
-        for (a, b, v) in raw.iter() {
+        let mut m = parallel::matmul_parallel(&h.left, &h.right_t, self.threads)?;
+        // Scale entry (a, b) by 1 / (||left_a|| * ||right_b||) in place.
+        // Any stored entry has both norms > 0, since the product entry
+        // requires overlapping support; they are norms of probability
+        // rows, so the quotient cannot underflow to a dropped zero.
+        m.map_values(|a, b, v| {
             let denom = h.left_norms[a] * h.right_norms[b];
             debug_assert!(denom > 0.0);
-            coo.push(a, b, v / denom);
-        }
-        Ok(coo.to_csr())
+            v / denom
+        });
+        Ok(m)
     }
 
     /// Normalized HeteSim of one pair.
@@ -508,6 +395,7 @@ impl<'a> HeteSimEngine<'a> {
 mod tests {
     use super::*;
     use hetesim_graph::{HinBuilder, Schema};
+    use hetesim_sparse::CooMatrix;
 
     /// Figure 4-style toy network.
     fn fig4() -> Hin {
@@ -918,35 +806,6 @@ mod tests {
         );
         // Tom and P1 meet at exactly one edge object: the (Tom, P1) edge.
         assert_eq!(ex.meetings.len(), 1);
-    }
-
-    #[test]
-    fn prefix_reuse_is_behavior_preserving() {
-        let hin = fig4();
-        let plain = HeteSimEngine::new(&hin);
-        let reuse = HeteSimEngine::new(&hin).reuse_prefixes(true);
-        for text in ["APC", "AP", "APA", "APAPC", "CPAPA"] {
-            let path = MetaPath::parse(hin.schema(), text).unwrap();
-            let a = plain.matrix(&path).unwrap();
-            let b = reuse.matrix(&path).unwrap();
-            assert!(
-                a.max_abs_diff(&b).unwrap() < 1e-12,
-                "path {text}: prefix-reuse result differs"
-            );
-        }
-        // Concatenable paths share prefixes: CPAPA and APAPC's reversed
-        // right halves overlap, so the prefix cache holds fewer entries
-        // than the total number of steps multiplied out.
-        assert!(reuse.prefix_cache_len() > 0);
-        let before = reuse.prefix_cache_len();
-        // Re-querying a longer path with a shared prefix reuses entries
-        // instead of rebuilding from scratch.
-        let apapa = MetaPath::parse(hin.schema(), "APAPA").unwrap();
-        let _ = reuse.matrix(&apapa).unwrap();
-        let after = reuse.prefix_cache_len();
-        // APAPA's halves (A-P and A-P reversed prefixes already cached)
-        // add at most one new prefix per side.
-        assert!(after - before <= 2, "before {before}, after {after}");
     }
 
     #[test]

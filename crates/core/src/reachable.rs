@@ -13,23 +13,15 @@ use crate::{CoreError, Result};
 use hetesim_graph::{Hin, Step};
 use hetesim_sparse::{chain, CsrMatrix, SparseVec};
 
-/// Row-stochastic transition matrices for a step sequence, in order.
-pub fn transition_chain(hin: &Hin, steps: &[Step]) -> Vec<CsrMatrix> {
-    steps.iter().map(|&s| hin.step_transition(s)).collect()
-}
-
-/// Multiplies a chain of stochastic matrices into a single
-/// reachable-probability matrix, choosing the association order by the
-/// sparse cost model.
-pub fn product(mats: &[CsrMatrix]) -> Result<CsrMatrix> {
-    let refs: Vec<&CsrMatrix> = mats.iter().collect();
-    Ok(chain::multiply_chain(&refs)?)
-}
-
-/// Computes the full reachable-probability matrix for a step sequence.
+/// Computes the full reachable-probability matrix for a step sequence:
+/// the step adjacencies, borrowed from the network, are multiplied in the
+/// planner's order with their row normalization fused into the products
+/// (bitwise the product of the materialized transition matrices).
 pub fn reachable_matrix(hin: &Hin, steps: &[Step]) -> Result<CsrMatrix> {
-    let mats = transition_chain(hin, steps);
-    product(&mats)
+    let mats: Vec<&CsrMatrix> = steps.iter().map(|&s| hin.step_adjacency(s)).collect();
+    let divisors: Vec<Vec<f64>> = mats.iter().map(|m| m.row_sum_divisors()).collect();
+    let divs: Vec<&[f64]> = divisors.iter().map(Vec::as_slice).collect();
+    Ok(chain::multiply_chain(&mats, Some(&divs), 1)?)
 }
 
 /// Propagates a distribution through a chain of factors, each

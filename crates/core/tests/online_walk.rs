@@ -7,6 +7,7 @@ use hetesim_baselines::Pcrw;
 use hetesim_core::decompose::{decompose, edge_split};
 use hetesim_core::{reachable, HeteSimEngine};
 use hetesim_graph::{Hin, HinBuilder, MetaPath, Schema};
+use hetesim_sparse::chain::multiply_chain;
 use hetesim_sparse::{CsrMatrix, SparseVec};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -127,13 +128,16 @@ proptest! {
         }
     }
 
-    /// PCRW's walk is bitwise the old `transition_chain` + `vecmat` row.
+    /// PCRW's walk is bitwise the old transition chain + `vecmat` row, and
+    /// its full matrix (`reachable_matrix`) bitwise the old
+    /// normalize-then-`multiply_chain` product of that chain.
     #[test]
     fn pcrw_walk_matches_the_transition_chain(hin in arb_hin()) {
         let pcrw = Pcrw::new(&hin);
         for text in PATHS {
             let path = MetaPath::parse(hin.schema(), text).unwrap();
-            let chain = reachable::transition_chain(&hin, path.steps());
+            let chain: Vec<CsrMatrix> =
+                path.steps().iter().map(|&s| hin.step_transition(s)).collect();
             let ns = hin.node_count(path.source_type());
             for s in 0..ns as u32 {
                 let want = chain
@@ -142,6 +146,11 @@ proptest! {
                 let got = pcrw.walk_distribution(&path, s).unwrap();
                 prop_assert_eq!(bits(&got), bits(&want.to_dense()), "{} from {}", text, s);
             }
+            let refs: Vec<&CsrMatrix> = chain.iter().collect();
+            let want = multiply_chain(&refs, None, 1).unwrap();
+            let got = reachable::reachable_matrix(&hin, path.steps()).unwrap();
+            prop_assert_eq!((got.shape(), got.indptr(), got.indices()), (want.shape(), want.indptr(), want.indices()), "{}", text);
+            prop_assert_eq!(bits(got.values()), bits(want.values()), "{}", text);
         }
     }
 

@@ -30,8 +30,8 @@ pub struct App<'h> {
 }
 
 impl<'h> App<'h> {
-    /// Wraps a network and a configured engine (thread count, prefix
-    /// reuse, cache budget are all decided by the caller).
+    /// Wraps a network and a configured engine (thread count and cache
+    /// budget are decided by the caller).
     pub fn new(hin: &'h Hin, engine: HeteSimEngine<'h>) -> App<'h> {
         App {
             hin,

@@ -10,9 +10,11 @@
 //! [`multiply_chain`] picks the order with a classic matrix-chain dynamic
 //! program whose cost model estimates SpGEMM flops from matrix densities;
 //! [`multiply_chain_left_to_right`] is the naive order, kept public as the
-//! ablation baseline.
+//! ablation baseline and test reference.
 
+use crate::parallel::{matmul_parallel_fused, PARALLEL_FLOP_THRESHOLD};
 use crate::{CsrMatrix, Result, SparseError};
+use std::borrow::Cow;
 
 /// Estimated cost and shape/density of an (intermediate) product.
 #[derive(Debug, Clone, Copy)]
@@ -47,13 +49,6 @@ fn combine(a: Estimate, b: Estimate) -> Estimate {
     }
 }
 
-/// Estimated flops below which a single product in a threaded chain
-/// execution is multiplied serially: the planner's estimate lets
-/// [`ChainPlan::execute_threaded`] skip even the exact flop count (and
-/// the symbolic pass behind it) for products that are obviously tiny.
-/// Matches the exact-count threshold inside `parallel::matmul_parallel`.
-const PARALLEL_EST_FLOP_THRESHOLD: f64 = (1u64 << 17) as f64;
-
 /// The multiplication order chosen by the dynamic program, as a binary tree
 /// encoded in "split index" form: `splits[i][j]` is the `k` at which the
 /// product of matrices `i..=j` is split into `i..=k` and `k+1..=j`.
@@ -62,8 +57,8 @@ pub struct ChainPlan {
     splits: Vec<Vec<usize>>,
     /// `mult_flops[i][j]`: estimated flops of the *final* multiply that
     /// produces the `i..=j` product (excluding its sub-products), used by
-    /// [`ChainPlan::execute_threaded`] to decide serial vs parallel per
-    /// node without touching the matrices.
+    /// [`ChainPlan::execute`] to decide serial vs parallel per node
+    /// without touching the matrices.
     mult_flops: Vec<Vec<f64>>,
     len: usize,
     /// Estimated flops of the chosen order (for diagnostics/ablation).
@@ -127,180 +122,83 @@ impl ChainPlan {
         })
     }
 
-    fn execute_range(
-        &self,
-        mats: &[&CsrMatrix],
-        i: usize,
-        j: usize,
-        threads: usize,
-    ) -> Result<CsrMatrix> {
-        if i == j {
-            return Ok(mats[i].clone());
-        }
-        let k = self.splits[i][j];
-        let left = self.execute_range(mats, i, k, threads)?;
-        let right = self.execute_range(mats, k + 1, j, threads)?;
-        // The planner's flop estimate gates the parallel kernel so tiny
-        // products skip even the exact flop count of its symbolic pass;
-        // `matmul_parallel` re-checks with exact counts and may still fall
-        // back, so a high estimate can never force a slow parallel run.
-        if threads > 1 && self.mult_flops[i][j] >= PARALLEL_EST_FLOP_THRESHOLD {
-            crate::parallel::matmul_parallel(&left, &right, threads)
-        } else {
-            left.matmul(&right)
-        }
-    }
-
-    fn fused_operand(
-        &self,
-        mats: &[&CsrMatrix],
-        divisors: &[&[f64]],
-        i: usize,
-        j: usize,
-        threads: usize,
-    ) -> Result<Operand> {
-        if i == j {
-            Ok(Operand::Leaf(i))
-        } else {
-            Ok(Operand::Prod(
-                self.execute_range_fused(mats, divisors, i, j, threads)?,
-            ))
-        }
-    }
-
-    fn execute_range_fused(
-        &self,
-        mats: &[&CsrMatrix],
-        divisors: &[&[f64]],
-        i: usize,
-        j: usize,
-        threads: usize,
-    ) -> Result<CsrMatrix> {
-        if i == j {
-            // A chain of one matrix has no product to fuse the divisors
-            // into; materialize the normalization by division (bitwise
-            // equal to `row_normalized`, see `row_sum_divisors`).
-            return Ok(mats[i].rows_divided(divisors[i]));
-        }
-        let k = self.splits[i][j];
-        // In the plan's binary tree every leaf is consumed by exactly one
-        // product, so its divisors are applied exactly once — fused into
-        // that product. Interior results are already normalized products
-        // and carry no divisor.
-        let left = self.fused_operand(mats, divisors, i, k, threads)?;
-        let right = self.fused_operand(mats, divisors, k + 1, j, threads)?;
-        let (lm, ld) = left.parts(mats, divisors);
-        let (rm, rd) = right.parts(mats, divisors);
-        if threads > 1 && self.mult_flops[i][j] >= PARALLEL_EST_FLOP_THRESHOLD {
-            crate::parallel::matmul_parallel_fused(lm, rm, ld, rd, threads)
-        } else {
-            lm.matmul_fused(rm, ld, rd)
-        }
-    }
-
-    /// Executes the plan with each leaf's rows divided by its divisor
-    /// slice, the division fused into the product that consumes the leaf
-    /// (see [`multiply_chain_fused_threaded`]).
-    pub fn execute_fused_threaded(
-        &self,
-        mats: &[&CsrMatrix],
-        divisors: &[&[f64]],
-        threads: usize,
-    ) -> Result<CsrMatrix> {
-        assert_eq!(mats.len(), self.len, "plan arity mismatch");
-        assert_eq!(divisors.len(), self.len, "one divisor slice per matrix");
-        for (m, d) in mats.iter().zip(divisors) {
-            assert_eq!(d.len(), m.nrows(), "divisor length mismatch");
-        }
-        self.execute_range_fused(mats, divisors, 0, self.len - 1, threads.max(1))
-    }
-
     /// Executes the plan over the given matrices (which must match the
     /// shapes the plan was made from).
-    pub fn execute(&self, mats: &[&CsrMatrix]) -> Result<CsrMatrix> {
+    ///
+    /// With `divisors`, each matrix's rows are divided by its divisor
+    /// slice, the division fused into the one product that consumes the
+    /// matrix: with [`CsrMatrix::row_sum_divisors`] this is the
+    /// row-stochastic chain of Definition 9, bitwise equal to normalizing
+    /// every matrix first, because each stored value is divided once by
+    /// the divisor `row_normalized` uses and the order (planned from
+    /// shapes and densities, which normalization keeps) is the same.
+    ///
+    /// Products whose estimated flops reach the parallel threshold use
+    /// `threads` workers. The order is the plan's at every thread count
+    /// and the parallel kernel is bit-identical to the serial one, so the
+    /// result does not depend on `threads`.
+    pub fn execute(
+        &self,
+        mats: &[&CsrMatrix],
+        divisors: Option<&[&[f64]]>,
+        threads: usize,
+    ) -> Result<CsrMatrix> {
         assert_eq!(mats.len(), self.len, "plan arity mismatch");
-        self.execute_range(mats, 0, self.len - 1, 1)
-    }
-
-    /// Executes the plan with `threads` workers on every product whose
-    /// estimated flops clear the parallel threshold. The association
-    /// order is the plan's regardless of `threads`, and the parallel
-    /// kernel is bit-identical to the serial one, so the result equals
-    /// [`ChainPlan::execute`] exactly at every thread count.
-    pub fn execute_threaded(&self, mats: &[&CsrMatrix], threads: usize) -> Result<CsrMatrix> {
-        assert_eq!(mats.len(), self.len, "plan arity mismatch");
-        self.execute_range(mats, 0, self.len - 1, threads.max(1))
-    }
-}
-
-/// An operand of a fused chain product: either an original (leaf) matrix
-/// whose row divisors are still pending — they get fused into the one
-/// product that consumes the leaf — or an already-normalized intermediate
-/// product.
-enum Operand {
-    Leaf(usize),
-    Prod(CsrMatrix),
-}
-
-impl Operand {
-    /// The operand's matrix and the divisors (if any) still to be fused
-    /// into the next product.
-    fn parts<'s>(
-        &'s self,
-        mats: &[&'s CsrMatrix],
-        divisors: &[&'s [f64]],
-    ) -> (&'s CsrMatrix, Option<&'s [f64]>) {
-        match self {
-            Operand::Leaf(i) => (mats[*i], Some(divisors[*i])),
-            Operand::Prod(m) => (m, None),
+        if let Some(divisors) = divisors {
+            assert_eq!(divisors.len(), self.len, "one divisor slice per matrix");
+            for (m, d) in mats.iter().zip(divisors) {
+                assert_eq!(d.len(), m.nrows(), "divisor length mismatch");
+            }
         }
+        // A chain of one matrix has no product to fuse its divisors into;
+        // they are applied by division (bitwise `row_normalized`).
+        Ok(
+            match self.operand(mats, divisors, 0, self.len - 1, threads.max(1))? {
+                (m, Some(div)) => m.rows_divided(div),
+                (m, None) => m.into_owned(),
+            },
+        )
+    }
+
+    /// The `i..=j` product and the divisors still to be fused into the
+    /// product that consumes it. In the plan's binary tree every leaf is
+    /// consumed by exactly one product, so a leaf is borrowed with its
+    /// divisors pending, and a product carries none.
+    fn operand<'m>(
+        &self,
+        mats: &[&'m CsrMatrix],
+        divisors: Option<&[&'m [f64]]>,
+        i: usize,
+        j: usize,
+        threads: usize,
+    ) -> Result<(Cow<'m, CsrMatrix>, Option<&'m [f64]>)> {
+        if i == j {
+            return Ok((Cow::Borrowed(mats[i]), divisors.map(|d| d[i])));
+        }
+        let k = self.splits[i][j];
+        let (lm, ld) = self.operand(mats, divisors, i, k, threads)?;
+        let (rm, rd) = self.operand(mats, divisors, k + 1, j, threads)?;
+        // The planner's flop estimate gates the parallel kernel so tiny
+        // products skip even the exact flop count of its symbolic pass;
+        // the kernel re-checks with exact counts and may still run
+        // serially, so a high estimate can never force a slow parallel run.
+        let threads = if self.mult_flops[i][j] >= PARALLEL_FLOP_THRESHOLD as f64 {
+            threads
+        } else {
+            1
+        };
+        let product = matmul_parallel_fused(&lm, &rm, ld, rd, threads)?;
+        Ok((Cow::Owned(product), None))
     }
 }
 
-/// Multiplies a chain of matrices in the cost-model-optimal order.
-pub fn multiply_chain(mats: &[&CsrMatrix]) -> Result<CsrMatrix> {
-    let _span = hetesim_obs::span!(
-        "sparse.chain.multiply",
-        len = mats.len(),
-        total_nnz = mats.iter().map(|m| m.nnz()).sum::<usize>(),
-    );
-    let shapes: Vec<(usize, usize)> = mats.iter().map(|m| m.shape()).collect();
-    let densities: Vec<f64> = mats.iter().map(|m| m.density()).collect();
-    let plan = ChainPlan::plan(&shapes, &densities)?;
-    plan.execute(mats)
-}
-
-/// Multiplies a chain of matrices in the cost-model-optimal order, using
-/// `threads` workers on every product big enough (by the planner's flop
-/// estimate) to amortize the parallel kernel. Bit-identical to
-/// [`multiply_chain`] at every thread count.
-pub fn multiply_chain_threaded(mats: &[&CsrMatrix], threads: usize) -> Result<CsrMatrix> {
-    let _span = hetesim_obs::span!(
-        "sparse.chain.multiply",
-        len = mats.len(),
-        total_nnz = mats.iter().map(|m| m.nnz()).sum::<usize>(),
-        threads = threads,
-    );
-    let shapes: Vec<(usize, usize)> = mats.iter().map(|m| m.shape()).collect();
-    let densities: Vec<f64> = mats.iter().map(|m| m.density()).collect();
-    let plan = ChainPlan::plan(&shapes, &densities)?;
-    plan.execute_threaded(mats, threads)
-}
-
-/// Multiplies a chain of row-rescaled matrices with the rescaling fused
-/// into the products: computes
-/// `rowdiv(mats[0], divisors[0]) · … · rowdiv(mats[n-1], divisors[n-1])`
-/// where `rowdiv` divides each row by its divisor, without materializing
-/// any rescaled matrix. With divisors from
-/// [`CsrMatrix::row_sum_divisors`] this is exactly the normalized
-/// transition-matrix chain of Definition 9 — bit-identical to
-/// normalizing every matrix first and calling
-/// [`multiply_chain_threaded`], because each stored value is divided
-/// once by the same divisor and the association order (planned from
-/// shapes and densities, which normalization preserves) is the same.
-pub fn multiply_chain_fused_threaded(
+/// Multiplies a chain of matrices in the cost-model-optimal order, each
+/// matrix's rows divided by its `divisors` slice if given, with `threads`
+/// workers on the products big enough to amortize them (see
+/// [`ChainPlan::execute`]). The result is the same at every thread count.
+pub fn multiply_chain(
     mats: &[&CsrMatrix],
-    divisors: &[&[f64]],
+    divisors: Option<&[&[f64]]>,
     threads: usize,
 ) -> Result<CsrMatrix> {
     let _span = hetesim_obs::span!(
@@ -312,7 +210,7 @@ pub fn multiply_chain_fused_threaded(
     let shapes: Vec<(usize, usize)> = mats.iter().map(|m| m.shape()).collect();
     let densities: Vec<f64> = mats.iter().map(|m| m.density()).collect();
     let plan = ChainPlan::plan(&shapes, &densities)?;
-    plan.execute_fused_threaded(mats, divisors, threads)
+    plan.execute(mats, divisors, threads)
 }
 
 /// Multiplies a chain strictly left-to-right (ablation baseline).
@@ -347,13 +245,16 @@ mod tests {
     #[test]
     fn single_matrix_chain() {
         let a = random_like(4, 5, 1);
-        assert_eq!(multiply_chain(&[&a]).unwrap(), a);
+        assert_eq!(multiply_chain(&[&a], None, 1).unwrap(), a);
         assert_eq!(multiply_chain_left_to_right(&[&a]).unwrap(), a);
     }
 
     #[test]
     fn empty_chain_is_error() {
-        assert!(matches!(multiply_chain(&[]), Err(SparseError::EmptyChain)));
+        assert!(matches!(
+            multiply_chain(&[], None, 1),
+            Err(SparseError::EmptyChain)
+        ));
         assert!(matches!(
             multiply_chain_left_to_right(&[]),
             Err(SparseError::EmptyChain)
@@ -364,7 +265,7 @@ mod tests {
     fn mismatched_chain_is_error() {
         let a = random_like(3, 4, 1);
         let b = random_like(5, 2, 2);
-        assert!(multiply_chain(&[&a, &b]).is_err());
+        assert!(multiply_chain(&[&a, &b], None, 1).is_err());
     }
 
     #[test]
@@ -373,7 +274,7 @@ mod tests {
         let b = random_like(30, 4, 2);
         let c = random_like(4, 25, 3);
         let d = random_like(25, 8, 4);
-        let opt = multiply_chain(&[&a, &b, &c, &d]).unwrap();
+        let opt = multiply_chain(&[&a, &b, &c, &d], None, 1).unwrap();
         let naive = multiply_chain_left_to_right(&[&a, &b, &c, &d]).unwrap();
         assert!(opt.max_abs_diff(&naive).unwrap() < 1e-9);
     }
@@ -383,9 +284,9 @@ mod tests {
         let a = random_like(600, 400, 1);
         let b = random_like(400, 500, 2);
         let c = random_like(500, 300, 3);
-        let serial = multiply_chain(&[&a, &b, &c]).unwrap();
+        let serial = multiply_chain(&[&a, &b, &c], None, 1).unwrap();
         for threads in [1, 2, 4, 7] {
-            let par = multiply_chain_threaded(&[&a, &b, &c], threads).unwrap();
+            let par = multiply_chain(&[&a, &b, &c], None, threads).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -400,9 +301,9 @@ mod tests {
         let norm_refs: Vec<&CsrMatrix> = normalized.iter().collect();
         let divisors: Vec<Vec<f64>> = mats.iter().map(|m| m.row_sum_divisors()).collect();
         let div_refs: Vec<&[f64]> = divisors.iter().map(|d| d.as_slice()).collect();
-        let expect = multiply_chain(&norm_refs).unwrap();
+        let expect = multiply_chain(&norm_refs, None, 1).unwrap();
         for threads in [1, 2, 4] {
-            let fused = multiply_chain_fused_threaded(&mats, &div_refs, threads).unwrap();
+            let fused = multiply_chain(&mats, Some(&div_refs), threads).unwrap();
             assert_eq!(fused, expect, "threads={threads}");
         }
     }
@@ -416,8 +317,9 @@ mod tests {
         coo.push(2, 1, 5.0);
         let a = coo.to_csr();
         let div = a.row_sum_divisors();
-        let fused = multiply_chain_fused_threaded(&[&a], &[&div], 4).unwrap();
+        let fused = multiply_chain(&[&a], Some(&[&div]), 4).unwrap();
         assert_eq!(fused, a.row_normalized());
+        assert_eq!(multiply_chain(&[&a], None, 4).unwrap(), a);
     }
 
     #[test]

@@ -2,11 +2,6 @@ use crate::kernel;
 use crate::scratch::{self, Scratch};
 use crate::{CooMatrix, DenseMatrix, Result, SparseError, SparseVec};
 
-/// Below this many stored entries the threaded normalization variants use
-/// the serial path: a normalization pass is one multiply per entry, so
-/// thread spawn/join costs more than the work being split.
-const PARALLEL_NORMALIZE_MIN_NNZ: usize = 1 << 16;
-
 /// Checks that `nnz` stored entries are addressable by the `u32`
 /// row-pointer array, returning the count as `u32`.
 ///
@@ -608,98 +603,6 @@ impl CsrMatrix {
         out
     }
 
-    /// [`CsrMatrix::row_normalized`] with the per-row scaling fanned out
-    /// over `threads` scoped workers (contiguous row blocks of near-equal
-    /// nnz). Bit-identical to the serial version at every thread count —
-    /// each row's sum and divisions happen in the same order on exactly
-    /// one worker. Small matrices fall back to the serial path.
-    pub fn row_normalized_threaded(&self, threads: usize) -> CsrMatrix {
-        if threads <= 1 || self.nnz() < PARALLEL_NORMALIZE_MIN_NNZ {
-            return self.row_normalized();
-        }
-        let _span = hetesim_obs::span!(
-            "sparse.parallel.row_normalize",
-            rows = self.nrows,
-            nnz = self.nnz(),
-        );
-        let mut out = self.clone();
-        let nrows = out.nrows;
-        let threads = threads.min(nrows).max(1);
-        // Row boundaries of near-equal entry counts.
-        let per_block = out.values.len().div_ceil(threads).max(1);
-        let mut bounds = vec![0usize];
-        let mut next_cut = per_block;
-        for r in 0..nrows {
-            if out.indptr[r + 1] as usize >= next_cut && r + 1 < nrows {
-                bounds.push(r + 1);
-                next_cut = out.indptr[r + 1] as usize + per_block;
-            }
-        }
-        bounds.push(nrows);
-        let indptr = &out.indptr;
-        let mut rest: &mut [f64] = &mut out.values;
-        let mut consumed = 0usize;
-        std::thread::scope(|scope| {
-            for w in bounds.windows(2) {
-                let (lo, hi) = (w[0], w[1]);
-                let base = indptr[lo] as usize;
-                let (block, tail) = rest.split_at_mut(indptr[hi] as usize - consumed);
-                rest = tail;
-                consumed = indptr[hi] as usize;
-                scope.spawn(move || {
-                    for r in lo..hi {
-                        let (s, e) = (indptr[r] as usize - base, indptr[r + 1] as usize - base);
-                        let sum: f64 = block[s..e].iter().sum();
-                        if sum != 0.0 {
-                            for v in &mut block[s..e] {
-                                *v /= sum;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        out
-    }
-
-    /// [`CsrMatrix::col_normalized`] with the entry-wise scaling fanned
-    /// out over `threads` scoped workers. The column sums are accumulated
-    /// serially (keeping the summation order — and therefore the output
-    /// bits — independent of the thread count); only the embarrassingly
-    /// parallel division pass is split.
-    pub fn col_normalized_threaded(&self, threads: usize) -> CsrMatrix {
-        if threads <= 1 || self.nnz() < PARALLEL_NORMALIZE_MIN_NNZ {
-            return self.col_normalized();
-        }
-        let _span = hetesim_obs::span!(
-            "sparse.parallel.col_normalize",
-            rows = self.nrows,
-            nnz = self.nnz(),
-        );
-        let mut colsum = vec![0f64; self.ncols];
-        for (&c, &v) in self.indices.iter().zip(&self.values) {
-            colsum[c as usize] += v;
-        }
-        let mut out = self.clone();
-        let nnz = out.values.len();
-        let threads = threads.min(nnz).max(1);
-        let chunk = nnz.div_ceil(threads);
-        let colsum = &colsum;
-        std::thread::scope(|scope| {
-            for (ind, val) in out.indices.chunks(chunk).zip(out.values.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (c, v) in ind.iter().zip(val) {
-                        let s = colsum[*c as usize];
-                        if s != 0.0 {
-                            *v /= s;
-                        }
-                    }
-                });
-            }
-        });
-        out
-    }
-
     /// Per-row sums.
     pub fn row_sums(&self) -> Vec<f64> {
         (0..self.nrows)
@@ -721,6 +624,17 @@ impl CsrMatrix {
             *v *= s;
         }
         out
+    }
+
+    /// Replaces every stored value `v` at `(r, c)` by `f(r, c, v)` in
+    /// place, row by row; the sparsity pattern is kept.
+    pub fn map_values(&mut self, mut f: impl FnMut(usize, usize, f64) -> f64) {
+        for r in 0..self.nrows {
+            let (lo, hi) = (self.indptr[r] as usize, self.indptr[r + 1] as usize);
+            for (&c, v) in self.indices[lo..hi].iter().zip(&mut self.values[lo..hi]) {
+                *v = f(r, c as usize, *v);
+            }
+        }
     }
 
     /// Entry-wise sum `self + rhs`.
@@ -1050,37 +964,14 @@ mod tests {
     }
 
     #[test]
-    fn threaded_normalization_matches_serial() {
-        // Big enough to clear the serial-fallback threshold, with empty
-        // rows and a hot row mixed in.
-        let mut coo = CooMatrix::new(2000, 300);
-        let mut x = 99usize;
-        for r in 0..2000 {
-            if r % 7 == 0 {
-                continue;
-            }
-            let per_row = if r == 3 { 300 } else { 40 };
-            for i in 0..per_row {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                // 7 is coprime to 300, so the columns of a row are distinct.
-                coo.push(r, (i * 7 + r) % 300, (((x >> 20) % 9) + 1) as f64);
-            }
-        }
-        let m = coo.to_csr();
-        assert!(m.nnz() >= super::PARALLEL_NORMALIZE_MIN_NNZ);
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(m.row_normalized_threaded(threads), m.row_normalized());
-            assert_eq!(m.col_normalized_threaded(threads), m.col_normalized());
-        }
-    }
-
-    #[test]
-    fn threaded_normalization_small_fallback() {
-        let m = small();
-        assert_eq!(m.row_normalized_threaded(4), m.row_normalized());
-        assert_eq!(m.col_normalized_threaded(4), m.col_normalized());
+    fn map_values_sees_each_entry_and_keeps_the_pattern() {
+        let mut m = small();
+        m.map_values(|r, c, v| v * 10.0 + (r * 3 + c) as f64);
+        assert_eq!(
+            (m.indptr(), m.indices()),
+            (small().indptr(), small().indices())
+        );
+        assert_eq!(m.values(), &[10.0, 22.0, 34.0]);
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //! published on the `sparse.parallel.arena_bytes` gauge (also readable
 //! via [`arena_resident_bytes`]).
 //!
-//! The entry points also support **fused row normalization**
-//! ([`matmul_parallel_fused`]): per-row divisors for either operand are
-//! applied inside the numeric pass (left values divided on load, right
+//! The kernel also supports **fused row normalization**, reached through
+//! [`crate::chain::multiply_chain`]: per-row divisors for either operand
+//! are applied inside the numeric pass (left values divided on load, right
 //! values pre-divided once into pooled scratch), so HeteSim's
 //! normalize-then-multiply chains skip materializing the normalized
 //! matrices entirely. Each value is divided exactly once by exactly the
@@ -77,7 +77,10 @@ pub const THREADS_ENV: &str = "HETESIM_THREADS";
 /// Products below this many multiply-adds skip the symbolic pass and the
 /// thread pool entirely: at ~10⁵ flops the serial kernel finishes in well
 /// under a millisecond, which is the order of thread spawn + join cost.
-const PARALLEL_FLOP_THRESHOLD: u64 = 1 << 17;
+/// [`matmul_parallel`] gates on the exact count; a chain execution gates
+/// each product on the planner's estimate first, so obviously tiny
+/// products skip even the exact count.
+pub(crate) const PARALLEL_FLOP_THRESHOLD: u64 = 1 << 17;
 
 /// Chunks handed out per worker. The tail chunk of each worker bounds its
 /// overshoot past the mean, so per-worker imbalance shrinks roughly as
@@ -256,20 +259,14 @@ pub fn matmul_parallel(lhs: &CsrMatrix, rhs: &CsrMatrix, threads: usize) -> Resu
 /// `lhs.row_normalized().matmul(&rhs.row_normalized())` — each stored
 /// value is divided exactly once by exactly the divisor the materialized
 /// pipeline uses.
-pub fn matmul_parallel_fused(
+pub(crate) fn matmul_parallel_fused(
     lhs: &CsrMatrix,
     rhs: &CsrMatrix,
     lhs_div: Option<&[f64]>,
     rhs_div: Option<&[f64]>,
     threads: usize,
 ) -> Result<CsrMatrix> {
-    if lhs.ncols() != rhs.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            op: "parallel spgemm",
-            left: lhs.shape(),
-            right: rhs.shape(),
-        });
-    }
+    check_dims(lhs, rhs)?;
     if threads <= 1 || lhs.nrows() == 0 {
         return lhs.matmul_fused(rhs, lhs_div, rhs_div);
     }
@@ -286,18 +283,15 @@ pub fn matmul_parallel_fused(
 /// production code should call [`matmul_parallel`], which skips the
 /// machinery when the serial kernel is already faster.
 pub fn matmul_two_phase(lhs: &CsrMatrix, rhs: &CsrMatrix, threads: usize) -> Result<CsrMatrix> {
-    matmul_two_phase_fused(lhs, rhs, None, None, threads)
+    check_dims(lhs, rhs)?;
+    if lhs.nrows() == 0 {
+        return lhs.matmul(rhs);
+    }
+    let (flops, total_flops) = row_flops(lhs, rhs);
+    two_phase(lhs, rhs, None, None, threads.max(1), flops, total_flops)
 }
 
-/// [`matmul_two_phase`] with fused row normalization (see
-/// [`matmul_parallel_fused`] for the divisor semantics).
-pub fn matmul_two_phase_fused(
-    lhs: &CsrMatrix,
-    rhs: &CsrMatrix,
-    lhs_div: Option<&[f64]>,
-    rhs_div: Option<&[f64]>,
-    threads: usize,
-) -> Result<CsrMatrix> {
+fn check_dims(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<()> {
     if lhs.ncols() != rhs.nrows() {
         return Err(SparseError::DimensionMismatch {
             op: "parallel spgemm",
@@ -305,19 +299,7 @@ pub fn matmul_two_phase_fused(
             right: rhs.shape(),
         });
     }
-    if lhs.nrows() == 0 {
-        return lhs.matmul_fused(rhs, lhs_div, rhs_div);
-    }
-    let (flops, total_flops) = row_flops(lhs, rhs);
-    two_phase(
-        lhs,
-        rhs,
-        lhs_div,
-        rhs_div,
-        threads.max(1),
-        flops,
-        total_flops,
-    )
+    Ok(())
 }
 
 fn two_phase(
@@ -694,9 +676,13 @@ mod tests {
         let b = pseudo_random(150, 250, 4, 23);
         let expect = a.row_normalized().matmul(&b.row_normalized()).unwrap();
         let (da, db) = (a.row_sum_divisors(), b.row_sum_divisors());
+        let forced = |ld, rd, threads| {
+            let (flops, total) = row_flops(&a, &b);
+            two_phase(&a, &b, ld, rd, threads, flops, total).unwrap()
+        };
         for threads in [1, 2, 4] {
             assert_eq!(
-                matmul_two_phase_fused(&a, &b, Some(&da), Some(&db), threads).unwrap(),
+                forced(Some(&da), Some(&db), threads),
                 expect,
                 "threads={threads}"
             );
@@ -708,10 +694,7 @@ mod tests {
         }
         // One-sided fusion too.
         let left_only = a.row_normalized().matmul(&b).unwrap();
-        assert_eq!(
-            matmul_two_phase_fused(&a, &b, Some(&da), None, 3).unwrap(),
-            left_only
-        );
+        assert_eq!(forced(Some(&da), None, 3), left_only);
     }
 
     #[test]

@@ -241,7 +241,7 @@ proptest! {
             coo.push(r, r % extra_cols, 1.0);
         }
         let c = coo.to_csr();
-        let opt = chain::multiply_chain(&[&a, &b, &c]).unwrap();
+        let opt = chain::multiply_chain(&[&a, &b, &c], None, 1).unwrap();
         let naive = chain::multiply_chain_left_to_right(&[&a, &b, &c]).unwrap();
         prop_assert!(opt.max_abs_diff(&naive).unwrap() < 1e-9);
     }
@@ -349,13 +349,9 @@ proptest! {
     fn fused_chain_matches_normalize_then_multiply((a, b) in arb_pair()) {
         let da = a.row_sum_divisors();
         let db = b.row_sum_divisors();
-        let fused =
-            chain::multiply_chain_fused_threaded(&[&a, &b], &[&da, &db], 2).unwrap();
-        let plain = chain::multiply_chain_threaded(
-            &[&a.row_normalized(), &b.row_normalized()],
-            2,
-        )
-        .unwrap();
+        let fused = chain::multiply_chain(&[&a, &b], Some(&[&da, &db]), 2).unwrap();
+        let plain =
+            chain::multiply_chain(&[&a.row_normalized(), &b.row_normalized()], None, 2).unwrap();
         prop_assert_eq!(fused, plain);
     }
 

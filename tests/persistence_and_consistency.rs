@@ -7,6 +7,9 @@ use hetesim::data::acm::{generate, AcmConfig};
 use hetesim::graph::io;
 use hetesim::prelude::*;
 
+#[path = "../crates/core/tests/oracle/mod.rs"]
+mod oracle;
+
 #[test]
 fn save_load_preserves_hetesim_scores() {
     let acm = generate(&AcmConfig::tiny(21));
@@ -125,25 +128,18 @@ fn symmetric_path_matrices_are_symmetric() {
 
 #[test]
 fn all_engine_modes_agree_on_real_network() {
-    // threads × prefix-reuse: every combination must produce the same
-    // relevance matrices.
+    // Every thread count answers every query kind with the paper-literal
+    // oracle's scores, on even, odd and symmetric paths.
     let acm = generate(&AcmConfig::tiny(29));
     let hin = &acm.hin;
     let engines = [
-        HeteSimEngine::new(hin),
+        HeteSimEngine::with_threads(hin, 1),
         HeteSimEngine::with_threads(hin, 4),
-        HeteSimEngine::new(hin).reuse_prefixes(true),
-        HeteSimEngine::with_threads(hin, 4).reuse_prefixes(true),
     ];
     for text in ["APVC", "APA", "CVPAPA"] {
         let path = MetaPath::parse(hin.schema(), text).unwrap();
-        let reference = engines[0].matrix(&path).unwrap();
-        for (i, e) in engines.iter().enumerate().skip(1) {
-            let m = e.matrix(&path).unwrap();
-            assert!(
-                reference.max_abs_diff(&m).unwrap() < 1e-12,
-                "engine mode {i} disagrees on {text}"
-            );
+        for e in &engines {
+            oracle::check(e, &path, 1e-12);
         }
     }
 }

@@ -139,27 +139,3 @@ fn concurrent_cold_queries_of_one_path_build_it_once() {
     assert_eq!((stats.misses, stats.hits), (1, 7));
     assert!(rankings.windows(2).all(|w| w[0] == w[1]));
 }
-
-#[test]
-fn prefix_reuse_engine_is_thread_safe_too() {
-    let acm = hetesim::data::acm::generate(&hetesim::data::acm::AcmConfig::tiny(78));
-    let hin = &acm.hin;
-    let engine = HeteSimEngine::new(hin).reuse_prefixes(true);
-    let paths: Vec<MetaPath> = ["CVPA", "CVPAPA", "APVC"]
-        .iter()
-        .map(|t| MetaPath::parse(hin.schema(), t).unwrap())
-        .collect();
-    std::thread::scope(|scope| {
-        for t in 0..4usize {
-            let engine = &engine;
-            let paths = &paths;
-            scope.spawn(move || {
-                for path in paths.iter() {
-                    let _ = engine.matrix(path).unwrap();
-                }
-                let _ = t;
-            });
-        }
-    });
-    assert!(engine.prefix_cache_len() > 0);
-}
