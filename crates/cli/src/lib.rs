@@ -209,12 +209,11 @@ fn install_warm(engine: &HeteSimEngine, warm: Vec<WarmPath>) -> Result<usize, St
         .map_err(|e| format!("cannot install warmed paths: {e}"))
 }
 
-/// Publishes gauge-style cache readings so they appear in the snapshot
-/// alongside the hit/miss counters the cache records itself.
+/// Publishes the cache's entry count so it appears in the snapshot
+/// alongside the hit/miss counters and the `core.cache.resident_bytes`
+/// gauge the cache records itself.
 fn record_cache_gauges(engine: &HeteSimEngine) {
-    let s = engine.cache_stats();
-    hetesim_obs::set("core.cache.prefix_cache.entries", s.entries);
-    hetesim_obs::set("core.cache.prefix_cache.bytes", s.bytes);
+    hetesim_obs::set("core.cache.halves.entries", engine.cache_stats().entries);
 }
 
 fn cmd_generate(p: &Parsed) -> Result<(), String> {

@@ -284,10 +284,10 @@ fn metrics_json_reports_cache_hits_on_repeated_query() {
     let json = &stdout[stdout.find('{').expect("JSON snapshot on stdout")..];
     assert_parses_as_json(json);
     assert!(
-        json_counter(json, "core.cache.prefix_cache.hits") > 0,
+        json_counter(json, "core.cache.halves.hits") > 0,
         "second identical query must hit the half-path cache:\n{json}"
     );
-    assert_eq!(json_counter(json, "core.cache.prefix_cache.misses"), 1);
+    assert_eq!(json_counter(json, "core.cache.halves.misses"), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -513,7 +513,7 @@ fn snapshot_build_info_and_bit_identical_query() {
     let info = run(&["snapshot", "info", snap.to_str().unwrap()]);
     assert!(info.status.success());
     let text = String::from_utf8_lossy(&info.stdout);
-    assert!(text.contains("format v1"), "{text}");
+    assert!(text.contains("format v2"), "{text}");
     assert!(text.contains("A-P-V-C"), "{text}");
     assert!(text.contains("schema"), "{text}");
 

@@ -12,74 +12,53 @@ pub use hetesim_obs::CacheStats;
 /// This is the unit of memoization behind the Section 4.6 optimization:
 /// "the concatenation of partially materialized reachable probability
 /// matrices helps to fasten the computation". Once a path's halves are
-/// built, single pairs are two row reads and a sparse dot; top-k queries
+/// built, a single pair walks the source's row of `left`; top-k queries
 /// touch only the middle objects the source actually reaches.
 ///
-/// On a symmetric path (`P = P⁻¹`) `PL` is `PR⁻¹` (Definitions 5 and 8),
-/// so `left` and `right` point to one shared matrix.
+/// `PM_PR⁻¹` is kept only transposed. On a symmetric path (`P = P⁻¹`)
+/// `PR⁻¹` is `PL` (Definitions 5 and 8), so `right_t` is `leftᵀ`.
 #[derive(Debug)]
 pub struct Halves {
     /// `PM_PL`: source type × middle (row-stochastic product).
-    pub left: Arc<CsrMatrix>,
-    /// `PM_PR⁻¹`: target type × middle; the same allocation as `left`
-    /// on a symmetric path.
-    pub right: Arc<CsrMatrix>,
-    /// Transpose of `right` (middle × target), used by pruned top-k search.
+    pub left: CsrMatrix,
+    /// `PM_PR⁻¹ᵀ`: middle × target.
     pub right_t: CsrMatrix,
     /// Euclidean norms of `left`'s rows (Definition 10 denominators).
     pub left_norms: Vec<f64>,
-    /// Euclidean norms of `right`'s rows.
+    /// Euclidean norms of `PM_PR⁻¹`'s rows (`right_t`'s columns).
     pub right_norms: Vec<f64>,
 }
 
 impl Halves {
-    /// Validates the raw half products and derives what queries need:
-    /// row norms and the transposed right half. `right = None` marks a
-    /// symmetric path, whose `PM_PR⁻¹` is `left` itself; that one matrix
-    /// is checked and measured once and shared by both fields.
-    pub fn new(left: CsrMatrix, right: Option<CsrMatrix>) -> Result<Halves, SparseError> {
+    /// Validates the raw half products and derives the row norms.
+    /// `right_t = None` marks a symmetric path, whose `PM_PR⁻¹` is `left`
+    /// itself; its `right_t` is then `leftᵀ`.
+    pub fn new(left: CsrMatrix, right_t: Option<CsrMatrix>) -> Result<Halves, SparseError> {
         left.check_finite("hetesim left half")?;
-        if let Some(right) = &right {
-            right.check_finite("hetesim right half")?;
-        }
-        let left = Arc::new(left);
-        let left_norms = left.row_l2_norms();
-        let (right, right_norms) = match right {
-            Some(right) => {
-                let norms = right.row_l2_norms();
-                (Arc::new(right), norms)
-            }
-            None => (Arc::clone(&left), left_norms.clone()),
+        let right_t = match right_t {
+            Some(r) => r.check_finite("hetesim right half").map(|()| r)?,
+            None => left.transpose(),
         };
-        let right_t = right.transpose();
+        // Squares added in middle order from `-0.0`, as `Iterator::sum`
+        // adds them: bitwise `PM_PR⁻¹.row_l2_norms()`.
+        let mut right_sq = vec![-0.0; right_t.ncols()];
+        for (_, t, v) in right_t.iter() {
+            right_sq[t] += v * v;
+        }
         Ok(Halves {
+            left_norms: left.row_l2_norms(),
+            right_norms: right_sq.into_iter().map(f64::sqrt).collect(),
             left,
-            right,
             right_t,
-            left_norms,
-            right_norms,
         })
     }
 
-    /// True when `left` and `right` are one shared matrix.
-    pub fn is_shared(&self) -> bool {
-        Arc::ptr_eq(&self.left, &self.right)
-    }
-
-    /// Approximate heap residency of the matrices and the two norm
-    /// vectors: `left`, `right_t`, and `right` unless it is the shared
-    /// `left`. CSR row pointers are `u32` (nnz is checked to fit the u32
+    /// Approximate heap residency of the two matrices and the two norm
+    /// vectors. CSR row pointers are `u32` (nnz is checked to fit the u32
     /// index space at construction), so a cached half costs
-    /// `12·nnz + 4·(nrows+1)` matrix bytes — budgets sized against the
-    /// old `usize` pointers hold strictly more entries now.
+    /// `12·nnz + 4·(nrows+1)` matrix bytes.
     pub fn mem_bytes(&self) -> usize {
-        let right = if self.is_shared() {
-            0
-        } else {
-            self.right.mem_bytes()
-        };
         self.left.mem_bytes()
-            + right
             + self.right_t.mem_bytes()
             + (self.left_norms.len() + self.right_norms.len()) * std::mem::size_of::<f64>()
     }
@@ -113,8 +92,8 @@ impl Entry {
 /// `RwLock` keeps concurrent access cheap, matching the "frequently-used
 /// relevance paths are computed off-line, on-line search only locates rows"
 /// usage pattern the paper describes. Lookups are mirrored into the
-/// `core.cache.prefix_cache.*` observability counters when metrics are
-/// enabled.
+/// `core.cache.halves.{hits,misses}` observability counters when metrics
+/// are enabled.
 ///
 /// # Byte budget
 ///
@@ -244,7 +223,7 @@ impl PathCache {
         let e = inner.get(key)?;
         e.last_used.store(self.next_tick(), Ordering::Relaxed);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        hetesim_obs::add("core.cache.prefix_cache.hits", 1);
+        hetesim_obs::add("core.cache.halves.hits", 1);
         hetesim_obs::trace_event("core.cache.hit");
         Some(Arc::clone(&e.value))
     }
@@ -281,7 +260,7 @@ impl PathCache {
         hetesim_obs::trace_event("core.cache.miss");
         let built = Arc::new(build()?);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        hetesim_obs::add("core.cache.prefix_cache.misses", 1);
+        hetesim_obs::add("core.cache.halves.misses", 1);
         self.insert(key, Arc::clone(&built));
         Ok(built)
     }
@@ -329,11 +308,11 @@ impl PathCache {
         }
     }
 
-    /// Drops all cached halves and resets counters. Evicted entries are
-    /// counted into `core.cache.prefix_cache.evictions`.
+    /// Drops all cached halves and resets counters. The dropped entries
+    /// are counted into `core.cache.halves.cleared`.
     pub fn clear(&self) {
-        let evicted = self.len() as u64;
-        hetesim_obs::add("core.cache.prefix_cache.evictions", evicted);
+        let cleared = self.len() as u64;
+        hetesim_obs::add("core.cache.halves.cleared", cleared);
         self.inner
             .write()
             .unwrap_or_else(PoisonError::into_inner)
@@ -433,13 +412,20 @@ mod tests {
     }
 
     #[test]
-    fn a_shared_half_is_stored_and_counted_once() {
-        let m = CsrMatrix::identity(3);
-        let shared = Halves::new(m.clone(), None).unwrap();
-        let separate = Halves::new(m.clone(), Some(m.clone())).unwrap();
-        assert!(shared.is_shared() && !separate.is_shared());
-        assert_eq!(shared.mem_bytes() + m.mem_bytes(), separate.mem_bytes());
-        assert_eq!(shared.right_norms, separate.right_norms);
+    fn a_symmetric_half_is_its_own_transposed_right_half() {
+        // Row 1 is empty: its norm is `-0.0` on both sides.
+        let mut coo = hetesim_sparse::CooMatrix::new(3, 2);
+        for (r, c, v) in [(0, 0, 0.5), (0, 1, 0.5), (2, 1, 1.0)] {
+            coo.push(r, c, v);
+        }
+        let m = coo.to_csr();
+        let symmetric = Halves::new(m.clone(), None).unwrap();
+        let spelled_out = Halves::new(m.clone(), Some(m.transpose())).unwrap();
+        assert_eq!(symmetric.right_t, spelled_out.right_t);
+        assert_eq!(symmetric.mem_bytes(), spelled_out.mem_bytes());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&symmetric.right_norms), bits(&m.row_l2_norms()));
+        assert!(symmetric.right_norms[1].is_sign_negative());
     }
 
     #[test]

@@ -297,31 +297,34 @@ pub(crate) fn half_factors<'a>(
     (left, right_rev)
 }
 
-/// Checks that `left` and `right` have the shapes `PM_PL` and `PM_PR⁻¹`
-/// of `path` have on `hin`: source (target) count × middle dimension,
-/// the middle being the meeting type or, on an odd path, the edge
-/// objects of the middle relation.
+/// Checks that `left` has the shape `PM_PL` of `path` has on `hin`
+/// (source count × middle dimension, the middle being the meeting type
+/// or, on an odd path, the edge objects of the middle relation) and
+/// `right_t` that of `PM_PR⁻¹ᵀ` (middle × target count), absent exactly
+/// on a symmetric path. A missing matrix is reported as 0x0.
 pub(crate) fn check_half_shapes(
     hin: &Hin,
     path: &MetaPath,
     left: &CsrMatrix,
-    right: &CsrMatrix,
+    right_t: Option<&CsrMatrix>,
 ) -> Result<()> {
+    let n = |ty| hin.node_count(ty);
     let middle = half_factors(hin, path)
         .0
         .last()
-        .map_or_else(|| hin.node_count(path.source_type()), Factor::ncols);
-    let sides = [
-        ("left", left, path.source_type()),
-        ("right", right, path.target_type()),
-    ];
-    for (half, m, ty) in sides {
-        let expected = (hin.node_count(ty), middle);
-        if m.shape() != expected {
+        .map_or_else(|| n(path.source_type()), Factor::ncols);
+    let left_shape = (n(path.source_type()), middle);
+    let right_t_shape = (!path.is_symmetric()).then_some((middle, n(path.target_type())));
+    for (half, found, expected) in [
+        ("left", Some(left.shape()), Some(left_shape)),
+        ("right_t", right_t.map(CsrMatrix::shape), right_t_shape),
+    ] {
+        if found != expected {
+            let (expected, found) = (expected.unwrap_or_default(), found.unwrap_or_default());
             return Err(CoreError::HalfShape {
                 half,
                 expected,
-                found: m.shape(),
+                found,
             });
         }
     }

@@ -3,7 +3,7 @@ use crate::decompose::{check_half_shapes, decompose, half_factors, Factor};
 use crate::reachable::walk;
 use crate::{CoreError, Result};
 use hetesim_graph::{Hin, MetaPath};
-use hetesim_sparse::{chain, parallel, CsrMatrix, SparseVec};
+use hetesim_sparse::{chain, for_each_common, parallel, CsrMatrix, SparseVec};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -73,25 +73,27 @@ impl<'a> HeteSimEngine<'a> {
     /// Materializes (or fetches) the half-path products of `path` and
     /// hands back the shared artifacts. This is the snapshot writer's
     /// entry point: [`crate::snapshot::write_snapshot`] serializes the
-    /// `left`/`right` halves it returns.
+    /// `left` and (unless the path is symmetric) `right_t` it returns.
     pub fn materialized_halves(&self, path: &MetaPath) -> Result<Arc<Halves>> {
         self.halves(path)
     }
 
     /// Installs externally produced half-products for `path` — the
-    /// snapshot *load* path. Only the raw halves come from outside; the
-    /// derived structures (transpose, row norms) are recomputed here by
-    /// the same deterministic code [`HeteSimEngine::warm`] runs, so an
-    /// engine restored from a snapshot is bitwise-identical to one that
-    /// built the products itself. The halves are validated (shapes the
-    /// path has on this network, finite values) before they are cached.
-    /// Equal halves of a symmetric path are stored once, as
-    /// [`HeteSimEngine::warm`] stores them.
-    pub fn install_halves(&self, path: &MetaPath, left: CsrMatrix, right: CsrMatrix) -> Result<()> {
-        check_half_shapes(self.hin, path, &left, &right)?;
-        let right = (!(path.is_symmetric() && left == right)).then_some(right);
+    /// snapshot *load* path: `PM_PL` and `PM_PR⁻¹ᵀ`, `None` exactly on a
+    /// symmetric path. The row norms (and a symmetric `right_t`) are
+    /// derived by the code [`HeteSimEngine::warm`] runs, so an engine
+    /// restored from a snapshot is bitwise-identical to one that built
+    /// the products itself. The halves are validated (shapes the path
+    /// has on this network, finite values) before they are cached.
+    pub fn install_halves(
+        &self,
+        path: &MetaPath,
+        left: CsrMatrix,
+        right_t: Option<CsrMatrix>,
+    ) -> Result<()> {
+        check_half_shapes(self.hin, path, &left, right_t.as_ref())?;
         self.cache
-            .insert(&path.cache_key(), Arc::new(Halves::new(left, right)?));
+            .insert(&path.cache_key(), Arc::new(Halves::new(left, right_t)?));
         Ok(())
     }
 
@@ -137,7 +139,7 @@ impl<'a> HeteSimEngine<'a> {
     /// `PM_PL`: its `PR⁻¹` chain has the same factors, divisors and
     /// planner order (`step_adjacency(s.reversed())` of the mirrored step
     /// is `step_adjacency(s)`), so `PM_PR⁻¹` would be bitwise the same
-    /// matrix, and [`Halves::new`] shares it.
+    /// matrix, and [`Halves::new`] transposes `left` instead.
     pub(crate) fn halves(&self, path: &MetaPath) -> Result<Arc<Halves>> {
         let key = path.cache_key();
         self.cache.get_or_build(&key, || {
@@ -173,7 +175,7 @@ impl<'a> HeteSimEngine<'a> {
             // products into normalized scores (norms + transposed right
             // half + finiteness validation of both operands).
             let _stage = hetesim_obs::span("core.engine.cosine");
-            Ok::<_, CoreError>(Halves::new(left, right)?)
+            Ok::<_, CoreError>(Halves::new(left, right.map(|r| r.transpose()))?)
         })
     }
 
@@ -235,18 +237,47 @@ impl<'a> HeteSimEngine<'a> {
 
     /// Normalized HeteSim of one pair.
     pub fn pair(&self, path: &MetaPath, a: u32, b: u32) -> Result<f64> {
-        self.check_source(path, a)?;
-        self.check_target(path, b)?;
-        let h = self.halves(path)?;
-        Ok(h.left.row(a as usize).cosine(&h.right.row(b as usize)))
+        let mut dot = 0.0;
+        let h = self.meetings(path, a, b, |_, x, y| dot += x * y)?;
+        let n = h.left_norms[a as usize] * h.right_norms[b as usize];
+        Ok(if n == 0.0 { 0.0 } else { dot / n })
     }
 
     /// Unnormalized HeteSim (meeting probability) of one pair.
     pub fn pair_unnormalized(&self, path: &MetaPath, a: u32, b: u32) -> Result<f64> {
+        let mut dot = 0.0;
+        self.meetings(path, a, b, |_, x, y| dot += x * y)?;
+        Ok(dot)
+    }
+
+    /// Checks the pair, then calls `meet(m, PM_PL[a][m], PM_PR⁻¹[b][m])`
+    /// for every middle `m` both walkers reach, in ascending `m` (the
+    /// order of [`SparseVec::dot`]). On a symmetric path `PM_PR⁻¹[b]` is
+    /// `left[b]`, so two borrowed rows are merged; otherwise `b` is
+    /// searched in each `right_t[m]` the source reaches.
+    fn meetings(
+        &self,
+        path: &MetaPath,
+        a: u32,
+        b: u32,
+        mut meet: impl FnMut(u32, f64, f64),
+    ) -> Result<Arc<Halves>> {
         self.check_source(path, a)?;
         self.check_target(path, b)?;
         let h = self.halves(path)?;
-        Ok(h.left.row(a as usize).dot(&h.right.row(b as usize)))
+        let (l, r) = (&h.left, &h.right_t);
+        let row = |i: u32| (l.row_indices(i as usize), l.row_values(i as usize));
+        let (li, lv) = row(a);
+        if path.is_symmetric() {
+            for_each_common((li, lv), row(b), meet);
+        } else {
+            for (&m, &x) in li.iter().zip(lv) {
+                if let Ok(p) = r.row_indices(m as usize).binary_search(&b) {
+                    meet(m, x, r.row_values(m as usize)[p]);
+                }
+            }
+        }
+        Ok(h)
     }
 
     /// Normalized HeteSim of one pair computed *online*: both walkers'
@@ -307,7 +338,7 @@ impl<'a> HeteSimEngine<'a> {
         let _span = hetesim_obs::span("core.engine.single_source");
         self.check_source(path, a)?;
         let h = self.halves(path)?;
-        let mut row = vec![0.0; h.right.nrows()];
+        let mut row = vec![0.0; h.right_t.ncols()];
         let un = h.left_norms[a as usize];
         for t in crate::topk::reach(&h, a, &mut row) {
             let t = t as usize;
@@ -347,34 +378,19 @@ impl<'a> HeteSimEngine<'a> {
         b: u32,
         k: usize,
     ) -> Result<crate::explain::Explanation> {
-        self.check_source(path, a)?;
-        self.check_target(path, b)?;
-        let h = self.halves(path)?;
-        let la = h.left.row(a as usize);
-        let rb = h.right.row(b as usize);
-        let denom = la.l2_norm() * rb.l2_norm();
         let mut meetings = Vec::new();
+        let h = self.meetings(path, a, b, |middle, x, y| {
+            meetings.push(crate::explain::Meeting {
+                middle,
+                contribution: x * y,
+            })
+        })?;
+        let denom = h.left_norms[a as usize] * h.right_norms[b as usize];
+        meetings.retain(|_| denom > 0.0);
         let mut score = 0.0;
-        if denom > 0.0 {
-            let (mut i, mut j) = (0usize, 0usize);
-            let (li, lv) = (la.indices(), la.values());
-            let (ri, rv) = (rb.indices(), rb.values());
-            while i < li.len() && j < ri.len() {
-                match li[i].cmp(&ri[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        let contribution = lv[i] * rv[j] / denom;
-                        score += contribution;
-                        meetings.push(crate::explain::Meeting {
-                            middle: li[i],
-                            contribution,
-                        });
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
+        for m in &mut meetings {
+            m.contribution /= denom;
+            score += m.contribution;
         }
         meetings.sort_by(|x, y| {
             y.contribution
@@ -443,7 +459,7 @@ mod tests {
         let built = HeteSimEngine::new(&hin).materialized_halves(&apc).unwrap();
         let e = HeteSimEngine::new(&hin);
         let err = e
-            .install_halves(&apc, one_row(4), (*built.right).clone())
+            .install_halves(&apc, one_row(4), Some(built.right_t.clone()))
             .unwrap_err();
         assert_eq!(
             err,
@@ -470,51 +486,62 @@ mod tests {
         let built = HeteSimEngine::new(&hin).materialized_halves(&apc).unwrap();
         let e = HeteSimEngine::new(&hin);
         let err = e
-            .install_halves(&apc, (*built.left).clone(), one_row(4))
+            .install_halves(&apc, built.left.clone(), Some(one_row(4)))
             .unwrap_err();
         assert_eq!(
             err,
             CoreError::HalfShape {
-                half: "right",
-                expected: (2, 4),
+                half: "right_t",
+                expected: (4, 2),
                 found: (1, 4),
             }
         );
-        assert!(err.to_string().contains("right half is 1x4"), "{err}");
-        // Both halves one middle column short: the left half is caught.
-        let narrow = |m: &CsrMatrix| {
-            let mut coo = CooMatrix::with_capacity(m.nrows(), 3, m.nnz());
-            for (r, c, v) in m.iter().filter(|&(_, c, _)| c < 3) {
+        assert!(err.to_string().contains("right_t half is 1x4"), "{err}");
+        // Both halves one middle object short: the left half is caught.
+        let narrow = |m: &CsrMatrix, transposed: bool| {
+            let (rows, cols) = if transposed {
+                (3, m.ncols())
+            } else {
+                (m.nrows(), 3)
+            };
+            let mut coo = CooMatrix::with_capacity(rows, cols, m.nnz());
+            for (r, c, v) in m.iter().filter(|&(r, c, _)| r < rows && c < cols) {
                 coo.push(r, c, v);
             }
             coo.to_csr()
         };
-        let err = e
-            .install_halves(&apc, narrow(&built.left), narrow(&built.right))
-            .unwrap_err();
+        let (left, right_t) = (narrow(&built.left, false), narrow(&built.right_t, true));
+        let err = e.install_halves(&apc, left, Some(right_t)).unwrap_err();
         assert!(matches!(err, CoreError::HalfShape { half: "left", .. }));
+        // A non-symmetric path needs `right_t`; a symmetric one takes none.
+        let err = e
+            .install_halves(&apc, built.left.clone(), None)
+            .unwrap_err();
+        assert!(err.to_string().contains("right_t half is 0x0"), "{err}");
+        let apa = MetaPath::parse(hin.schema(), "APA").unwrap();
+        let h = HeteSimEngine::new(&hin).materialized_halves(&apa).unwrap();
+        let err = e
+            .install_halves(&apa, h.left.clone(), Some(h.right_t.clone()))
+            .unwrap_err();
+        assert!(err.to_string().contains("the path needs 0x0"), "{err}");
         assert_eq!(e.cache_stats().entries, 0);
     }
 
     #[test]
-    fn symmetric_path_stores_one_half() {
+    fn symmetric_path_installs_its_left_half_only() {
         let hin = fig4();
         let e = HeteSimEngine::new(&hin);
         let apa = MetaPath::parse(hin.schema(), "APA").unwrap();
-        let apc = MetaPath::parse(hin.schema(), "APC").unwrap();
         let h = e.materialized_halves(&apa).unwrap();
-        assert!(h.is_shared());
-        assert!(!e.materialized_halves(&apc).unwrap().is_shared());
-        // Installing equal halves of a symmetric path shares them too,
-        // with the residency of the built entry.
+        assert_eq!(h.right_t, h.left.transpose());
+        // The installed entry is the built one, residency included.
         let installed = HeteSimEngine::new(&hin);
         installed
-            .install_halves(&apa, (*h.left).clone(), (*h.right).clone())
+            .install_halves(&apa, h.left.clone(), None)
             .unwrap();
-        assert!(installed.materialized_halves(&apa).unwrap().is_shared());
-        let fresh = HeteSimEngine::new(&hin);
-        fresh.warm(&apa).unwrap();
-        assert_eq!(installed.cache_stats().bytes, fresh.cache_stats().bytes);
+        let back = installed.materialized_halves(&apa).unwrap();
+        assert_eq!((&back.left, &back.right_t), (&h.left, &h.right_t));
+        assert_eq!(installed.cache_stats().bytes, e.cache_stats().bytes);
     }
 
     #[test]

@@ -19,9 +19,9 @@ pub enum CoreError {
         count: usize,
     },
     /// An installed half-path product does not have the shape the path
-    /// has on the network (rows: endpoint count; columns: middle).
+    /// has on the network; an absent matrix counts as `(0, 0)`.
     HalfShape {
-        /// Which half ("left" or "right").
+        /// Which half ("left" or "right_t").
         half: &'static str,
         /// `(rows, cols)` the path needs.
         expected: (usize, usize),

@@ -9,9 +9,9 @@
 //! half-path products of any warmed relevance paths, in one compact
 //! little-endian file. Loading is a bounds-checked decode straight into
 //! the CSR layout the engines query — no parsing, no SpGEMM — and yields
-//! bitwise-identical query results because the derived structures
-//! (transposes, row norms) are recomputed through the same deterministic
-//! code the engine itself uses.
+//! bitwise-identical query results because the derived structures (row
+//! norms, a symmetric path's `right_t`) are recomputed through the same
+//! deterministic code the engine itself uses.
 //!
 //! The byte-level format is specified in `docs/SNAPSHOT.md`. In short: an
 //! 8-byte magic, a versioned 32-byte header, a section table, and one
@@ -35,7 +35,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"HETESNAP";
 
 /// Format version written by this build and the only one it accepts.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Fixed header length in bytes (magic through header CRC).
 const HEADER_LEN: usize = 32;
@@ -301,7 +301,7 @@ pub struct SnapshotInfo {
 }
 
 /// One warmed relevance path restored from a snapshot: the parsed path
-/// plus its two half-products exactly as serialized.
+/// plus its half-products exactly as serialized.
 #[derive(Debug)]
 pub struct WarmPath {
     /// The relevance path, reconstructed against the snapshot's schema.
@@ -310,8 +310,9 @@ pub struct WarmPath {
     pub spec: String,
     /// `PM_PL` (source type × middle).
     pub left: CsrMatrix,
-    /// `PM_PR⁻¹` (target type × middle).
-    pub right: CsrMatrix,
+    /// `PM_PR⁻¹ᵀ` (middle × target type); `None` on a symmetric path,
+    /// whose right half is `left`.
+    pub right_t: Option<CsrMatrix>,
 }
 
 /// A fully loaded and verified snapshot.
@@ -359,7 +360,9 @@ fn encode_paths(schema: &Schema, warm: &[(MetaPath, Arc<Halves>)], out: &mut Vec
         push_str(&path.cache_key(), out);
         push_str(&path.display(schema), out);
         sbin::encode_csr(&halves.left, out);
-        sbin::encode_csr(&halves.right, out);
+        if !path.is_symmetric() {
+            sbin::encode_csr(&halves.right_t, out);
+        }
     }
 }
 
@@ -369,8 +372,9 @@ fn encode_paths(schema: &Schema, warm: &[(MetaPath, Arc<Halves>)], out: &mut Vec
 /// assembled in memory, written to `<path>.tmp`, then renamed over the
 /// destination — a crash never leaves a half-written snapshot behind.
 ///
-/// Only the `left`/`right` halves are stored per warmed path; the derived
-/// transpose and row norms are recomputed on load through the engine's
+/// Each warmed path stores `left` and, unless the path is symmetric,
+/// `right_t`: the orientations the engine caches. The row norms and a
+/// symmetric path's `right_t` are recomputed on load through the engine's
 /// own code path, which keeps the file smaller and guarantees
 /// bit-identity with a freshly built engine.
 pub fn write_snapshot(
@@ -673,12 +677,14 @@ fn decode_paths(buf: &[u8], schema: &Schema) -> Result<Vec<WarmPath>> {
         let spec = read_str(&mut reader, "warm path spec")?;
         let path = path_from_key(schema, &key)?;
         let left = sbin::decode_csr(&mut reader)?;
-        let right = sbin::decode_csr(&mut reader)?;
+        let right_t = (!path.is_symmetric())
+            .then(|| sbin::decode_csr(&mut reader))
+            .transpose()?;
         warm.push(WarmPath {
             path,
             spec,
             left,
-            right,
+            right_t,
         });
     }
     if reader.remaining() != 0 {
@@ -807,7 +813,7 @@ fn load_sections(buf: &[u8]) -> Result<(Hin, Vec<WarmPath>, Vec<SectionEntry>)> 
     let warm = paths_res?;
     let hin = Hin::from_parts(schema, names, adj)?;
     for (i, w) in warm.iter().enumerate() {
-        check_half_shapes(&hin, &w.path, &w.left, &w.right).map_err(|e| {
+        check_half_shapes(&hin, &w.path, &w.left, w.right_t.as_ref()).map_err(|e| {
             SnapshotError::Corrupt {
                 what: format!("warm path #{i} ({}): {e}", w.spec),
             }
@@ -816,41 +822,29 @@ fn load_sections(buf: &[u8]) -> Result<(Hin, Vec<WarmPath>, Vec<SectionEntry>)> 
     Ok((hin, warm, entries))
 }
 
-/// Installs warmed half-path products into an engine, recomputing the
-/// derived transposes and norms through the engine's own deterministic
-/// code so subsequent queries are bitwise identical to a freshly warmed
-/// engine. Paths install concurrently when more than one is present —
-/// each install transposes a half and scans it for finiteness, which at
-/// paper scale is the last serial chunk of a cold start.
+/// Installs warmed half-path products into an engine, one scoped thread
+/// per path, deriving the norms (and a symmetric path's `right_t`)
+/// through the engine's own deterministic code so subsequent queries are
+/// bitwise identical to a freshly warmed engine.
 pub fn install_warm_paths(
     engine: &crate::HeteSimEngine<'_>,
     warm: Vec<WarmPath>,
 ) -> std::result::Result<usize, crate::CoreError> {
     let count = warm.len();
-    if count <= 1 {
-        for w in warm {
-            engine.install_halves(&w.path, w.left, w.right)?;
-        }
-        return Ok(count);
-    }
-    let results = std::thread::scope(|scope| {
+    let results: Vec<_> = std::thread::scope(|scope| {
         let workers: Vec<_> = warm
             .into_iter()
-            .map(|w| scope.spawn(move || engine.install_halves(&w.path, w.left, w.right)))
+            .map(|w| scope.spawn(move || engine.install_halves(&w.path, w.left, w.right_t)))
             .collect();
-        workers
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(hetesim_sparse::SparseError::NotFinite {
-                    op: "install_warm_paths worker panicked",
-                }
-                .into()),
-            })
-            .collect::<Vec<_>>()
+        workers.into_iter().map(|h| h.join()).collect()
     });
     for r in results {
-        r?;
+        r.unwrap_or_else(|_| {
+            Err(hetesim_sparse::SparseError::NotFinite {
+                op: "install_warm_paths worker panicked",
+            }
+            .into())
+        })?;
     }
     Ok(count)
 }

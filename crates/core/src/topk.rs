@@ -162,7 +162,7 @@ pub fn top_k(h: &Halves, source: u32, k: usize) -> Vec<Ranked> {
     if k == 0 {
         return Vec::new();
     }
-    let mut acc = vec![0.0; h.right.nrows()];
+    let mut acc = vec![0.0; h.right_t.ncols()];
     let touched = reach(h, source, &mut acc);
     let un = h.left_norms[source as usize];
     let mut top = TopK::new(k);
@@ -201,7 +201,7 @@ fn best_pairs(h: &Halves, k: usize, sources: std::ops::Range<usize>) -> Vec<Rank
     if k == 0 {
         return best;
     }
-    let mut acc = vec![0.0; h.right.nrows()];
+    let mut acc = vec![0.0; h.right_t.ncols()];
     for source in sources {
         score_source_pairs(h, source, k, &mut acc, &mut best);
     }
@@ -365,7 +365,7 @@ mod tests {
     use hetesim_sparse::{CooMatrix, CsrMatrix};
 
     fn halves_from(left: CsrMatrix, right: CsrMatrix) -> Halves {
-        Halves::new(left, Some(right)).unwrap()
+        Halves::new(left, Some(right.transpose())).unwrap()
     }
 
     /// A skewed fixture: source 0 reaches most middles (hot row), several

@@ -112,8 +112,11 @@ pub fn hetesim(hin: &Hin, path: &MetaPath) -> (Dense, Dense) {
     (normalized, raw)
 }
 
-/// Asserts that `matrix`, `matrix_unnormalized`, `pair`, `single_source`
-/// and `top_k` of `engine` on `path` are the oracle's answers within `tol`.
+/// Asserts that `matrix`, `matrix_unnormalized`, `pair`,
+/// `pair_unnormalized`, `pair_online`, `pair_truncated` with unbounded
+/// `keep`, `explain`, `single_source` and `top_k` of `engine` on `path`
+/// are the oracle's answers within `tol`. An explanation's contributions
+/// must sum to the oracle's score.
 pub fn check(engine: &HeteSimEngine<'_>, path: &MetaPath, tol: f64) {
     let (want, want_raw) = hetesim(engine.hin(), path);
     let (m, raw) = (
@@ -125,12 +128,27 @@ pub fn check(engine: &HeteSimEngine<'_>, path: &MetaPath, tol: f64) {
     for (a, row) in want.iter().enumerate() {
         let ss = engine.single_source(path, a as u32).unwrap();
         for (b, &w) in row.iter().enumerate() {
-            let pair = engine.pair(path, a as u32, b as u32).unwrap();
+            let (s, t) = (a as u32, b as u32);
+            let pair = engine.pair(path, s, t).unwrap();
             assert!(
                 close(m.get(a, b), w) && close(ss[b], w) && close(pair, w),
                 "{a} {b}: {w}"
             );
-            assert!(close(raw.get(a, b), want_raw[a][b]), "unnormalized {a} {b}");
+            let online = engine.pair_online(path, s, t).unwrap();
+            let truncated = engine.pair_truncated(path, s, t, usize::MAX).unwrap();
+            assert!(
+                close(online, w) && close(truncated, w),
+                "online {a} {b}: {w}"
+            );
+            let ex = engine.explain(path, s, t, usize::MAX).unwrap();
+            let sum: f64 = ex.meetings.iter().map(|x| x.contribution).sum();
+            assert!(close(ex.score, w) && close(sum, w), "explain {a} {b}: {w}");
+            let want_raw = want_raw[a][b];
+            assert!(
+                close(raw.get(a, b), want_raw)
+                    && close(engine.pair_unnormalized(path, s, t).unwrap(), want_raw),
+                "unnormalized {a} {b}"
+            );
         }
         let k = 3;
         let top = engine.top_k(path, a as u32, k).unwrap();

@@ -107,7 +107,7 @@ fn roundtrip_network_and_scores_are_bit_identical() {
     assert_eq!(snap.warm.len(), 1);
     for w in snap.warm {
         cold_engine
-            .install_halves(&w.path, w.left, w.right)
+            .install_halves(&w.path, w.left, w.right_t)
             .unwrap();
     }
     // The install seeded the cache: querying must not rebuild.
@@ -212,16 +212,23 @@ fn wrong_magic_and_version_are_typed() {
         Err(SnapshotError::BadMagic { .. })
     ));
 
-    let mut future = bytes.clone();
-    future[8] = 99; // version little-endian low byte
-    std::fs::write(&file.0, &future).unwrap();
-    assert!(matches!(
-        snapshot::read_snapshot(&file.0),
-        Err(SnapshotError::UnsupportedVersion {
-            found: 99,
-            supported: snapshot::VERSION
-        })
-    ));
+    // A version-1 file (both halves row-major) and a future one.
+    for version in [1u8, 99] {
+        let mut other = bytes.clone();
+        other[8] = version; // version little-endian low byte
+        std::fs::write(&file.0, &other).unwrap();
+        let err = snapshot::read_snapshot(&file.0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SnapshotError::UnsupportedVersion {
+                    found,
+                    supported: snapshot::VERSION
+                } if found == u32::from(version)
+            ),
+            "{err}"
+        );
+    }
 }
 
 #[test]
@@ -233,7 +240,7 @@ fn warm_halves_of_the_wrong_shape_are_corrupt() {
     // A one-row left half (the network has two authors).
     let mut coo = CooMatrix::with_capacity(1, built.left.ncols(), 1);
     coo.push(0, 0, 1.0);
-    let short = Halves::new(coo.to_csr(), Some((*built.right).clone())).unwrap();
+    let short = Halves::new(coo.to_csr(), Some(built.right_t.clone())).unwrap();
     let file = Scratch(scratch("shape"));
     snapshot::write_snapshot(&file.0, &hin, &[(apc, Arc::new(short))]).unwrap();
     for err in [
@@ -312,7 +319,7 @@ proptest! {
         let cold = HeteSimEngine::with_threads(&snap.hin, 1);
         prop_assert_eq!(snap.warm.len(), 2);
         for w in snap.warm {
-            cold.install_halves(&w.path, w.left, w.right).unwrap();
+            cold.install_halves(&w.path, w.left, w.right_t).unwrap();
         }
         for path in [&apc, &apa] {
             prop_assert_eq!(all_scores(&cold, path), all_scores(&engine, path));

@@ -1,19 +1,19 @@
-//! Symmetric paths store one half: on `P = Q ∘ Q⁻¹` the engine builds
-//! `PM_PL` once and shares it as `PM_PR⁻¹`. Checked on random weighted
-//! networks at 1 and 4 engine threads: the shared matrix is bitwise the
-//! right chain built the long way, every query kind agrees with the
+//! A cached half is `left` plus `right_t`. On `P = Q ∘ Q⁻¹` the engine
+//! builds `PM_PL` once and uses it as `PM_PR⁻¹`. Checked on random
+//! weighted networks at 1 and 4 engine threads: `left` and `right_t` are
+//! bitwise the chains built the long way, pair-style queries are bit for
+//! bit the row-copy kernels, every query kind agrees with the
 //! paper-literal dense oracle (also on asymmetric even and odd paths), and
-//! a snapshot round-trip keeps the sharing and the residency.
+//! a snapshot round-trip keeps the halves, the residency and the answers.
 
 use hetesim_core::decompose::decompose;
 use hetesim_core::{snapshot, HeteSimEngine};
 use hetesim_graph::{Hin, HinBuilder, MetaPath, Schema};
 use hetesim_sparse::chain::multiply_chain;
-use hetesim_sparse::CsrMatrix;
+use hetesim_sparse::{CsrMatrix, SparseVec};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 
 mod oracle;
 
@@ -69,6 +69,28 @@ fn reference_right(hin: &Hin, path: &MetaPath, threads: usize) -> CsrMatrix {
     multiply_chain(&mats, Some(&divs), threads).unwrap()
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The row-copy explanation kernel: a merge of the two rows, each
+/// meeting's product divided by the product of the rows' norms. Returns
+/// the meetings in ascending middle order and the score.
+fn row_explain(la: &SparseVec, rb: &SparseVec) -> (Vec<(u32, u64)>, f64) {
+    let denom = la.l2_norm() * rb.l2_norm();
+    let (mut meetings, mut score) = (Vec::new(), 0.0);
+    if denom > 0.0 {
+        for (m, x) in la.iter() {
+            if let Ok(j) = rb.indices().binary_search(&(m as u32)) {
+                let contribution = x * rb.values()[j] / denom;
+                score += contribution;
+                meetings.push((m as u32, contribution.to_bits()));
+            }
+        }
+    }
+    (meetings, score)
+}
+
 fn bitwise_eq(a: &CsrMatrix, b: &CsrMatrix) -> bool {
     a.shape() == b.shape()
         && a.indptr() == b.indptr()
@@ -101,22 +123,22 @@ impl Drop for Scratch {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The shared half is bitwise the right chain, and shared.
+    /// A symmetric path's one built half is bitwise the right chain, and
+    /// every path's `right_t` is bitwise the right chain transposed.
     #[test]
-    fn shared_half_is_the_right_chain(hin in arb_hin()) {
+    fn halves_are_the_long_way_chains(hin in arb_hin()) {
         for threads in [1usize, 4] {
             let e = HeteSimEngine::with_threads(&hin, threads);
-            for text in SYMMETRIC {
+            for text in SYMMETRIC.iter().chain(&ASYMMETRIC) {
                 let path = MetaPath::parse(hin.schema(), text).unwrap();
-                prop_assert!(path.is_symmetric());
                 let h = e.materialized_halves(&path).unwrap();
-                prop_assert!(Arc::ptr_eq(&h.left, &h.right), "{}", text);
-                prop_assert!(bitwise_eq(&h.left, &reference_right(&hin, &path, threads)), "{}", text);
-                prop_assert_eq!(&h.left_norms, &h.right_norms);
+                let right = reference_right(&hin, &path, threads);
+                prop_assert!(bitwise_eq(&h.right_t, &right.transpose()), "{}", text);
+                if path.is_symmetric() {
+                    prop_assert!(bitwise_eq(&h.left, &right), "{}", text);
+                    prop_assert_eq!(&h.left_norms, &h.right_norms);
+                }
             }
-            let apc = MetaPath::parse(hin.schema(), "APC").unwrap();
-            let h = e.materialized_halves(&apc).unwrap();
-            prop_assert!(!Arc::ptr_eq(&h.left, &h.right));
         }
     }
 
@@ -133,17 +155,57 @@ proptest! {
         }
     }
 
-    /// A `.snap` round-trip keeps the halves shared and the residency the
-    /// built engine reports.
+    /// `pair`, `pair_unnormalized` and `explain` are bit for bit the
+    /// row-copy kernels `row(a).cosine(&row(b))`, `.dot` and the merged
+    /// decomposition over `PM_PL` and the long-way `PM_PR⁻¹`, and the
+    /// stored right norms are bitwise its `row_l2_norms`, empty rows
+    /// (whose norm is `-0.0`) included.
     #[test]
-    fn snapshot_roundtrip_keeps_the_sharing(hin in arb_hin()) {
+    fn pair_queries_are_the_row_kernels_bit_for_bit(hin in arb_hin()) {
+        for threads in [1usize, 4] {
+            let e = HeteSimEngine::with_threads(&hin, threads);
+            for text in SYMMETRIC.iter().chain(&ASYMMETRIC) {
+                let path = MetaPath::parse(hin.schema(), text).unwrap();
+                let h = e.materialized_halves(&path).unwrap();
+                let right = reference_right(&hin, &path, threads);
+                prop_assert_eq!(bits(&h.right_norms), bits(&right.row_l2_norms()), "{}", text);
+                for a in 0..h.left.nrows() {
+                    let la = h.left.row(a);
+                    for b in 0..right.nrows() {
+                        let rb = right.row(b);
+                        let (s, t) = (a as u32, b as u32);
+                        let pair = e.pair(&path, s, t).unwrap();
+                        prop_assert_eq!(pair.to_bits(), la.cosine(&rb).to_bits(), "{} {} {}", text, a, b);
+                        let raw = e.pair_unnormalized(&path, s, t).unwrap();
+                        prop_assert_eq!(raw.to_bits(), la.dot(&rb).to_bits(), "{} {} {}", text, a, b);
+                        let ex = e.explain(&path, s, t, usize::MAX).unwrap();
+                        let (want, score) = row_explain(&la, &rb);
+                        let mut got: Vec<(u32, u64)> = ex
+                            .meetings
+                            .iter()
+                            .map(|m| (m.middle, m.contribution.to_bits()))
+                            .collect();
+                        got.sort_unstable();
+                        prop_assert_eq!(got, want, "{} {} {}", text, a, b);
+                        prop_assert_eq!(ex.score.to_bits(), score.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `.snap` round-trip keeps the halves and the residency the built
+    /// engine reports, and the loaded engine answers every query kind
+    /// with the oracle's scores.
+    #[test]
+    fn snapshot_roundtrip_keeps_the_halves(hin in arb_hin()) {
         for threads in [1usize, 4] {
             let built = HeteSimEngine::with_threads(&hin, threads);
-            let mut paths: Vec<MetaPath> = SYMMETRIC
+            let paths: Vec<MetaPath> = SYMMETRIC
                 .iter()
+                .chain(&ASYMMETRIC)
                 .map(|t| MetaPath::parse(hin.schema(), t).unwrap())
                 .collect();
-            paths.push(MetaPath::parse(hin.schema(), "APC").unwrap());
             let warm: Vec<_> = paths
                 .iter()
                 .map(|p| (p.clone(), built.materialized_halves(p).unwrap()))
@@ -156,8 +218,8 @@ proptest! {
             prop_assert_eq!(loaded.cache_stats().bytes, built.cache_stats().bytes);
             for (path, h) in &warm {
                 let l = loaded.materialized_halves(path).unwrap();
-                prop_assert_eq!(l.is_shared(), path.is_symmetric());
-                prop_assert!(bitwise_eq(&l.left, &h.left) && bitwise_eq(&l.right, &h.right));
+                prop_assert!(bitwise_eq(&l.left, &h.left) && bitwise_eq(&l.right_t, &h.right_t));
+                oracle::check(&loaded, path, 1e-12);
             }
         }
     }

@@ -4,6 +4,7 @@
 
 use hetesim_core::{Halves, HeteSimEngine, RankedPair};
 use hetesim_graph::{Hin, HinBuilder, MetaPath, Schema};
+use hetesim_sparse::CsrMatrix;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -46,14 +47,15 @@ const PATHS: [&str; 7] = ["APC", "AP", "APA", "APT", "CPA", "APCPA", "TPAPC"];
 
 /// The dense single-source kernel this crate used before the reach walk:
 /// `right · u` over every target row, then the cosine denominators.
-fn dense_single_source(h: &Halves, a: u32) -> Vec<f64> {
+/// `right` is `PM_PR⁻¹`, rebuilt by the caller as `right_tᵀ`.
+fn dense_single_source(h: &Halves, right: &CsrMatrix, a: u32) -> Vec<f64> {
     let u = h.left.row(a as usize);
-    let nt = h.right.nrows();
+    let nt = right.nrows();
     if u.is_empty() {
         return vec![0.0; nt];
     }
     let un = u.l2_norm();
-    let dots = h.right.matvec(&u.to_dense()).unwrap();
+    let dots = right.matvec(&u.to_dense()).unwrap();
     dots.iter()
         .enumerate()
         .map(|(t, &d)| {
@@ -106,13 +108,13 @@ fn hashmap_top_k_pairs(h: &Halves, k: usize) -> Vec<RankedPair> {
 
 /// Targets sharing at least one middle object with source `a` and having
 /// a non-zero cosine denominator.
-fn reachable_targets(h: &Halves, a: u32) -> Vec<u32> {
+fn reachable_targets(h: &Halves, right: &CsrMatrix, a: u32) -> Vec<u32> {
     let middles = h.left.row_indices(a as usize);
     let un = h.left_norms[a as usize];
-    (0..h.right.nrows() as u32)
+    (0..right.nrows() as u32)
         .filter(|&t| {
             un * h.right_norms[t as usize] > 0.0
-                && h.right
+                && right
                     .row_indices(t as usize)
                     .iter()
                     .any(|m| middles.contains(m))
@@ -139,15 +141,16 @@ proptest! {
         for threads in [1usize, 4] {
             let e = HeteSimEngine::with_threads(&hin, threads);
             let h = e.materialized_halves(&path).unwrap();
-            let nt = h.right.nrows();
+            let right = h.right_t.transpose();
+            let nt = right.nrows();
             for a in 0..h.left.nrows() as u32 {
                 let row = e.single_source(&path, a).unwrap();
-                prop_assert_eq!(bits(&row), bits(&dense_single_source(&h, a)));
+                prop_assert_eq!(bits(&row), bits(&dense_single_source(&h, &right, a)));
 
                 let all = e.top_k(&path, a, nt + 1).unwrap();
                 let mut ranked: Vec<u32> = all.iter().map(|r| r.index).collect();
                 ranked.sort_unstable();
-                prop_assert_eq!(ranked, reachable_targets(&h, a));
+                prop_assert_eq!(ranked, reachable_targets(&h, &right, a));
                 for r in &all {
                     prop_assert_eq!(r.score.to_bits(), row[r.index as usize].to_bits());
                 }

@@ -53,7 +53,7 @@ fn removing_a_registry_entry_fails_lint() {
     // Drop the bullet registering the CI-asserted cache-hit counter.
     let removed: String = registry
         .lines()
-        .filter(|l| !l.contains("`core.cache.prefix_cache.hits`"))
+        .filter(|l| !l.contains("`core.cache.halves.hits`"))
         .map(|l| format!("{l}\n"))
         .collect();
     assert_ne!(removed, registry, "the entry being removed must exist");
@@ -61,7 +61,7 @@ fn removing_a_registry_entry_fails_lint() {
     assert!(
         report
             .of(Pass::ObsNames)
-            .any(|f| f.message.contains("core.cache.prefix_cache.hits")
+            .any(|f| f.message.contains("core.cache.halves.hits")
                 && f.message.contains("not registered")),
         "unregistering a live name must fail:\n{}",
         report.render_tree()

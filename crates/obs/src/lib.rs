@@ -51,7 +51,7 @@
 //!
 //! Every span, counter and histogram is named `crate.component.op`, e.g.
 //! `sparse.csr.matmul`, `core.engine.top_k`,
-//! `core.cache.prefix_cache.hits`, `graph.io.load`. Span fields recorded
+//! `core.cache.halves.hits`, `graph.io.load`. Span fields recorded
 //! through [`span!`] append a fourth segment (`sparse.csr.matmul.nnz`).
 //!
 //! # Example
@@ -417,7 +417,7 @@ mod tests {
     fn metric_name_grammar() {
         assert!(is_valid_metric_name("cli.query"));
         assert!(is_valid_metric_name("core.engine.top_k"));
-        assert!(is_valid_metric_name("core.cache.prefix_cache.hits"));
+        assert!(is_valid_metric_name("core.cache.halves.hits"));
         assert!(is_valid_metric_name("sparse.csr.matmul.nnz2"));
         assert!(!is_valid_metric_name("core"));
         assert!(!is_valid_metric_name("a.b.c.d.e"));

@@ -349,7 +349,7 @@ impl MetricsSnapshot {
     /// ```json
     /// {
     ///   "spans": [{"path": "...", "count": 1, "total_ns": 5, "mean_ns": 5}],
-    ///   "counters": {"core.cache.prefix_cache.hits": 2},
+    ///   "counters": {"core.cache.halves.hits": 2},
     ///   "histograms": {"sparse.csr.matmul.flops":
     ///       {"count": 1, "sum": 64, "buckets": [[7, 1]]}}
     /// }

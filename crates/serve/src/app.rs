@@ -221,7 +221,7 @@ impl<'h> App<'h> {
     fn metrics(&self, req: &Request) -> Response {
         let stats = self.engine.cache_stats();
         hetesim_obs::set("core.cache.resident_bytes", stats.bytes);
-        hetesim_obs::set("core.cache.prefix_cache.entries", stats.entries);
+        hetesim_obs::set("core.cache.halves.entries", stats.entries);
         hetesim_obs::set(
             "core.cache.hit_rate_permille",
             (stats.hit_rate() * 1000.0) as u64,

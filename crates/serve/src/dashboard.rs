@@ -309,8 +309,8 @@ pub(crate) fn render(history: &History, slo: &SloSpec) -> String {
 
     let hit = ratio_series(
         history,
-        "core.cache.prefix_cache.hits",
-        "core.cache.prefix_cache.misses",
+        "core.cache.halves.hits",
+        "core.cache.halves.misses",
         w,
     );
     let now_hit = hit.last().map_or(0.0, |&(_, v)| v);
@@ -370,12 +370,12 @@ mod tests {
                             gauge: false,
                         },
                         CounterSnapshot {
-                            name: "core.cache.prefix_cache.hits".to_string(),
+                            name: "core.cache.halves.hits".to_string(),
                             value: 15,
                             gauge: false,
                         },
                         CounterSnapshot {
-                            name: "core.cache.prefix_cache.misses".to_string(),
+                            name: "core.cache.halves.misses".to_string(),
                             value: 5,
                             gauge: false,
                         },

@@ -58,7 +58,7 @@ pub use coo::CooMatrix;
 pub use csr::{check_nnz, CsrMatrix};
 pub use dense::DenseMatrix;
 pub use error::SparseError;
-pub use vector::{cosine_dense, dot_dense, l2_norm_dense, SparseVec};
+pub use vector::{cosine_dense, dot_dense, for_each_common, l2_norm_dense, SparseVec};
 
 /// Convenience alias used by fallible kernel entry points.
 pub type Result<T> = std::result::Result<T, SparseError>;

@@ -169,19 +169,9 @@ impl SparseVec {
     /// Panics if dimensions differ.
     pub fn dot(&self, rhs: &SparseVec) -> f64 {
         assert_eq!(self.dim, rhs.dim, "sparse dot dimension mismatch");
-        let (mut i, mut j) = (0usize, 0usize);
         let mut s = 0.0;
-        while i < self.indices.len() && j < rhs.indices.len() {
-            match self.indices[i].cmp(&rhs.indices[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    s += self.values[i] * rhs.values[j];
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+        let y = (rhs.indices(), rhs.values());
+        for_each_common((self.indices(), self.values()), y, |_, a, b| s += a * b);
         s
     }
 
@@ -194,6 +184,24 @@ impl SparseVec {
             0.0
         } else {
             d / n
+        }
+    }
+}
+
+/// Calls `f(i, x[i], y[i])` for every index `i` stored in both sparse
+/// vectors, each given as (strictly increasing indices, values), in
+/// ascending `i`: the merge behind [`SparseVec::dot`].
+pub fn for_each_common(x: (&[u32], &[f64]), y: (&[u32], &[f64]), mut f: impl FnMut(u32, f64, f64)) {
+    let (mut i, mut j) = (0, 0);
+    while i < x.0.len() && j < y.0.len() {
+        match x.0[i].cmp(&y.0[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                f(x.0[i], x.1[i], y.1[j]);
+                i += 1;
+                j += 1;
+            }
         }
     }
 }
