@@ -208,7 +208,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to build their entry.
     pub misses: u64,
-    /// Entries currently resident (half-path products + step prefixes).
+    /// Entries currently resident: one per meta-path whose half-path
+    /// products are cached.
     pub entries: u64,
     /// Approximate resident bytes of the cached matrices.
     pub bytes: u64,

@@ -1,7 +1,7 @@
 //! A tiny blocking HTTP client for exercising the server.
 //!
-//! Exists so the integration tests, the `serve-load` benchmark, and CI
-//! smoke checks need nothing beyond this workspace — it speaks exactly
+//! Exists so the integration tests and the CLI's `watch` subcommand
+//! need nothing beyond this workspace — it speaks exactly
 //! the `Connection: close` HTTP/1.1 subset the server serves, one
 //! request per connection.
 

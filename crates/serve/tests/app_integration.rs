@@ -159,7 +159,7 @@ fn concurrent_queries_match_offline_top_k() {
     let source = hin.node_id(apvc.source_type(), &star).unwrap();
     let want = reference.top_k(&apvc, source, 5).unwrap();
 
-    with_app(&hin, HeteSimEngine::new(&hin), |addr, _| {
+    with_app(&hin, HeteSimEngine::new(&hin), |addr, app| {
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let star = star.clone();
@@ -186,6 +186,9 @@ fn concurrent_queries_match_offline_top_k() {
                 });
             }
         });
+        // One request built the halves; the other seven waited and hit.
+        let stats = app.engine().cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 7));
     });
 }
 

@@ -10,11 +10,7 @@ is inferred from its name:
 
   * higher is worse (regression when it grows): names containing `ms`,
     `latency`, `_us`, `imbalance`, `shed`, `timeouts`, `failures`,
-    `evictions`, `burn` (SLO burn rates from the `slo` block: burning
-    error budget faster is strictly worse), `resident_bytes` (retained
-    memory in the `history`/`cache` blocks: growth past the threshold
-    means the process got fatter, while `budget_bytes` stays a
-    configuration echo);
+    `evictions`;
   * lower is worse (regression when it shrinks): names containing
     `speedup`, `throughput`, `rps`, `hit_rate`, or equal to `ok`;
   * everything else (sizes, counts, configuration echoes) is
@@ -53,12 +49,6 @@ HIGHER_IS_WORSE = (
     "timeouts",
     "failures",
     "evictions",
-    # PR 9's serve-load additions: `slo.*.fast_burn`/`slow_burn` and
-    # `history.resident_bytes`/`cache.resident_bytes`. The full
-    # "resident_bytes" token (not "bytes") keeps `budget_bytes` and
-    # matrix-size echoes neutral.
-    "burn",
-    "resident_bytes",
 )
 # Exact last-segment names with a direction.
 LOWER_IS_WORSE_EXACT = ("ok",)

@@ -54,23 +54,6 @@ class Direction(unittest.TestCase):
         for path in ("flops", "product_nnz", "lhs.rows", "config.clients"):
             self.assertEqual(benchdiff.direction(path), 0, path)
 
-    def test_burn_rates_are_higher_is_worse(self):
-        for path in (
-            "slo.availability.fast_burn",
-            "slo.availability.slow_burn",
-            "slo.latency.fast_burn",
-            "slo.latency.slow_burn",
-        ):
-            self.assertEqual(benchdiff.direction(path), +1, path)
-
-    def test_resident_bytes_is_higher_is_worse(self):
-        for path in ("history.resident_bytes", "cache.resident_bytes"):
-            self.assertEqual(benchdiff.direction(path), +1, path)
-        # Budget echoes and matrix sizes stay neutral: the token is the
-        # full "resident_bytes", never a bare "bytes".
-        for path in ("history.budget_bytes", "cache.budget_bytes"):
-            self.assertEqual(benchdiff.direction(path), 0, path)
-
 
 class Diffing(unittest.TestCase):
     def test_identical_files_pass(self):
@@ -161,30 +144,13 @@ class Diffing(unittest.TestCase):
         for path in ("serial_ms", "reference_ms", "flops", "runs[0].dense_rows"):
             self.assertFalse(benchdiff.parallelism_sensitive(path), path)
 
-    def test_burn_regression_fails_diff(self):
-        base = {"slo": {"latency": {"target": 0.05, "fast_burn": 0.4}}}
-        cand = {"slo": {"latency": {"target": 0.05, "fast_burn": 2.0}}}
-        code, out = run_diff(base, cand)
-        self.assertEqual(code, 1)
-        self.assertIn("slo.latency.fast_burn", out)
-        self.assertIn("REGRESSION", out)
-
-    def test_burn_improvement_passes(self):
-        base = {"slo": {"availability": {"slow_burn": 2.0}}}
-        cand = {"slo": {"availability": {"slow_burn": 0.1}}}
-        code, out = run_diff(base, cand)
-        self.assertEqual(code, 0)
-        self.assertNotIn("REGRESSION", out)
-
-    def test_resident_bytes_growth_fails_budget_echo_does_not(self):
+    def test_resident_and_budget_bytes_are_informational(self):
         base = {"history": {"resident_bytes": 1000, "budget_bytes": 65536}}
         cand = {"history": {"resident_bytes": 5000, "budget_bytes": 262144}}
         code, out = run_diff(base, cand)
-        self.assertEqual(code, 1)
+        self.assertEqual(code, 0)
         self.assertIn("history.resident_bytes", out)
-        # The budget quadrupled too, but it is configuration, not a metric.
-        self.assertNotIn("budget_bytes REGRESSION", out)
-        self.assertEqual(out.count("REGRESSION"), 1)
+        self.assertNotIn("REGRESSION", out)
 
     def test_slo_block_only_in_candidate_is_not_fatal(self):
         # Old baselines predate PR 9's slo/history blocks; gaining them
